@@ -12,10 +12,9 @@ bound into a guarantee.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import linalg
-from .linalg import as_array, as_sparse, is_sparse
+from .linalg import _matmul, _sq_norms, as_array
 from .sketch import jlt_rows, make_sign_sketch
 
 _ZERO_RTOL = 1e-13
@@ -50,29 +49,6 @@ class PairwiseHashFamily:
         return self.p_hash * self.p_hash
 
 
-def _col_sq_norms(a):
-    if is_sparse(a):
-        csr = as_sparse(a)
-        return np.asarray(csr.multiply(csr).sum(axis=0)).ravel()
-    a = as_array(a)
-    return np.sum(a * a, axis=0)
-
-
-def _row_sq_norms(a):
-    if is_sparse(a):
-        csr = as_sparse(a)
-        return np.asarray(csr.multiply(csr).sum(axis=1)).ravel()
-    a = as_array(a)
-    return np.sum(a * a, axis=1)
-
-
-def _dense_left_mult(x, a):
-    """x @ a for dense x and possibly-sparse a, returning an ndarray."""
-    if is_sparse(a):
-        return np.asarray((as_sparse(a).T @ x.T).T)
-    return x @ as_array(a)
-
-
 def _normalize(sq_norms, total_ref):
     """Residual mass to a distribution; uniform when numerically zero."""
     sq = np.clip(sq_norms, 0.0, None)
@@ -87,8 +63,8 @@ def residual_col_distribution(a, v):
     """Exact column distribution of B = A - V V^+ A, via the Pythagorean split
     ||b_j||^2 = ||a_j||^2 - ||Q^T a_j||^2 with Q an orthonormal basis of V."""
     q = linalg.orthonormal_basis(v)
-    proj = _dense_left_mult(q.T, a)
-    sq = _col_sq_norms(a) - np.sum(proj * proj, axis=0)
+    proj = _matmul(q.T, a)
+    sq = _sq_norms(a, 0) - np.sum(proj * proj, axis=0)
     p, fallback = _normalize(sq, linalg.frobenius_sq(a))
     return ResidualDistribution(p=p, alpha=1.0, uniform_fallback=fallback)
 
@@ -96,9 +72,8 @@ def residual_col_distribution(a, v):
 def residual_row_distribution(a, r1):
     """Exact row distribution of B = A - A R1^+ R1."""
     q = linalg.row_space_projector_factor(as_array(r1))
-    proj = as_sparse(a) @ q if is_sparse(a) else as_array(a) @ q
-    proj = np.asarray(proj)
-    sq = _row_sq_norms(a) - np.sum(proj * proj, axis=1)
+    proj = _matmul(a, q)
+    sq = _sq_norms(a, 1) - np.sum(proj * proj, axis=1)
     p, fallback = _normalize(sq, linalg.frobenius_sq(a))
     return ResidualDistribution(p=p, alpha=1.0, uniform_fallback=fallback)
 
@@ -111,10 +86,9 @@ def sketched_col_distribution(a, v, rng, beta=1.0):
     """
     m, n = np.shape(a)
     s = make_sign_sketch(jlt_rows(n, beta), m, rng)
-    sa = s.S @ as_sparse(a) if is_sparse(a) else s.S @ as_array(a)
     v = as_array(v)
-    vpa = _dense_left_mult(np.asarray(linalg.pinv(v)), a)
-    bt = np.asarray(sa) - (s.S @ v) @ vpa
+    vpa = _matmul(np.asarray(linalg.pinv(v)), a)
+    bt = _matmul(s.S, a) - (s.S @ v) @ vpa
     p, fallback = _normalize(np.sum(bt * bt, axis=0), linalg.frobenius_sq(a))
     return ResidualDistribution(p=p, alpha=1.0 / 3.0, uniform_fallback=fallback)
 
@@ -124,10 +98,8 @@ def sketched_row_distribution(a, r1, rng, beta=1.0):
     m, n = np.shape(a)
     s = make_sign_sketch(jlt_rows(m, beta), n, rng)
     r1 = as_array(r1)
-    ast = as_sparse(a) @ s.S.T if is_sparse(a) else as_array(a) @ s.S.T
     inner = np.asarray(linalg.pinv(r1)) @ (r1 @ s.S.T)
-    bst = np.asarray(ast) - np.asarray(
-        as_sparse(a) @ inner if is_sparse(a) else as_array(a) @ inner)
+    bst = _matmul(a, s.S.T) - _matmul(a, inner)
     p, fallback = _normalize(np.sum(bst * bst, axis=1), linalg.frobenius_sq(a))
     return ResidualDistribution(p=p, alpha=1.0 / 3.0, uniform_fallback=fallback)
 

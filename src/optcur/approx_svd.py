@@ -15,15 +15,13 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from . import linalg
-from .linalg import as_array, as_sparse, is_sparse
+from .linalg import _matmul, as_sparse
 from .sketch import make_sse, apply_sse, make_sign_sketch
 
 
 @dataclass(frozen=True)
 class FactorZ:
     Z: np.ndarray  # n x k, orthonormal columns
-    mode: str  # deterministic | randomized | sparse
-    epsilon: float
 
 
 def _top_right_singvecs(p, k):
@@ -39,7 +37,7 @@ def deterministic_svd(a, k, eps):
     f = linalg.svd(a)
     if not 1 <= k < f.rank:
         raise ValueError("need 1 <= k < rank(A)")
-    return FactorZ(Z=f.V_A[:, :k].copy(), mode="deterministic", epsilon=float(eps))
+    return FactorZ(Z=f.V_A[:, :k].copy())
 
 
 def randomized_svd(a, k, eps, rng):
@@ -52,18 +50,8 @@ def randomized_svd(a, k, eps, rng):
     p = k + int(np.ceil(k / eps))
     p = min(p, n)
     s = make_sign_sketch(p, n, rng, scaled=False)
-    if is_sparse(a):
-        csr = as_sparse(a)
-        y = csr @ s.S.T
-        q = scipy.linalg.qr(y, mode="economic")[0]
-        proj = np.asarray((csr.T @ q).T)
-    else:
-        a = as_array(a)
-        y = a @ s.S.T
-        q = scipy.linalg.qr(y, mode="economic")[0]
-        proj = q.T @ a
-    return FactorZ(Z=_top_right_singvecs(proj, k), mode="randomized",
-                   epsilon=float(eps))
+    q = scipy.linalg.qr(_matmul(a, s.S.T), mode="economic")[0]
+    return FactorZ(Z=_top_right_singvecs(_matmul(q.T, a), k))
 
 
 def sparse_svd(a, k, eps, rng):
@@ -85,9 +73,7 @@ def sparse_svd(a, k, eps, rng):
         _, s, vt = scipy.sparse.linalg.svds(
             csr, k=k, v0=rng.standard_normal(min(m, n)),
             return_singular_vectors="vh")
-        z = vt[np.argsort(-s)].T.copy()
-        return FactorZ(Z=z, mode="sparse", epsilon=float(eps))
+        return FactorZ(Z=vt[np.argsort(-s)].T.copy())
     w = make_sse(m, xi, rng)
     wa = apply_sse(w, csr).data
-    return FactorZ(Z=_top_right_singvecs(wa, k), mode="sparse",
-                   epsilon=float(eps))
+    return FactorZ(Z=_top_right_singvecs(wa, k))

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from . import cur, instances, mmio
-from .linalg import NumericalError, as_array, is_sparse
+from . import cur, instances, linalg, mmio
+from .linalg import NumericalError, as_array
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -35,9 +35,12 @@ def _json_safe(obj):
 
 
 def _derived_seed(seed, trial):
-    return int(np.random.SeedSequence(entropy=seed,
-                                      spawn_key=(trial,)).entropy) % (2 ** 31) \
-        if trial else seed
+    """Seed of trial `trial`: `seed` itself for trial 0, then independent
+    31-bit seeds spawned from it."""
+    if not trial:
+        return seed
+    child = np.random.SeedSequence(seed, spawn_key=(trial,))
+    return int(child.generate_state(1)[0]) % (2 ** 31)
 
 
 def _run_decompose(a, cfg, trials):
@@ -47,8 +50,7 @@ def _run_decompose(a, cfg, trials):
     for trial in range(trials):
         seed = _derived_seed(cfg.seed, trial)
         rng = np.random.default_rng(seed)
-        dec = cur.decompose(a, cfg, rng if cfg.variant != "deterministic"
-                            else None)
+        dec = cur.decompose(a, cfg, rng)
         rep = cur.evaluate(a, dec, opt_sq=opt_sq)
         if best is None or rep.ratio < best[1].ratio:
             best = (dec, rep, seed)
@@ -61,8 +63,7 @@ def cmd_decompose(args):
     mat = mmio.read_matrix(args.input)
     cfg = cur.CurConfig(k=args.rank, epsilon=args.epsilon,
                         variant=args.variant, seed=args.seed,
-                        fidelity="paper" if args.fidelity == "paper"
-                        else "heuristic")
+                        fidelity=args.fidelity)
     t0 = time.time()
     dec, rep, used_seed = _run_decompose(mat, cfg, max(args.trials, 1))
     elapsed = time.time() - t0
@@ -116,10 +117,9 @@ def cmd_verify(args):
     drift = abs(rep.ratio - stored["ratio"])
     ok = drift <= 1e-9 * max(1.0, abs(stored["ratio"]))
     # the emitted C/R must be actual columns/rows of the input
-    a_cols = (mat.csr[:, dec.col_indices].toarray() if is_sparse(mat)
-              else as_array(mat)[:, dec.col_indices])
-    a_rows = (mat.csr[dec.row_indices].toarray() if is_sparse(mat)
-              else as_array(mat)[dec.row_indices])
+    a = linalg._operand(mat)
+    a_cols = linalg._cols(a, dec.col_indices)
+    a_rows = linalg._cols(a.T, dec.row_indices).T
     ok = ok and np.allclose(a_cols, c, atol=1e-12) \
         and np.allclose(a_rows, r, atol=1e-12)
     print(json.dumps({"recomputed": _json_safe(rep.as_dict()),
@@ -203,12 +203,13 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_ARGS
     try:
         return args.func(args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ARGS
-    except NumericalError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -6,10 +6,14 @@ candidates to 4k columns, adaptive sampling tops the set up to c columns, a
 rank-k factor inside the selected column span produces Z2, and the row side
 mirrors the procedure against Z2.  The intersection matrix folds all scale
 factors, so the emitted C and R hold raw columns/rows of A.
+`_pipeline` runs it for every variant, with the leaves named in `_SLOTS`.
 """
 
+import contextlib
+import functools
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -17,7 +21,8 @@ import scipy.sparse.linalg
 
 from . import adaptive, audit, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
-from .linalg import NumericalError, as_array, as_sparse, is_sparse
+from .linalg import (NumericalError, _cols, _matmul, as_array, as_sparse,
+                     is_sparse)
 from .sketch import make_sse, apply_sse
 
 VARIANTS = ("linear", "sparse", "deterministic")
@@ -138,190 +143,217 @@ def _check_dims(cfg, m, n):
             "config requires r = %d rows but A has only %d" % (cfg.r_total, m))
 
 
-def _right_svec_rank_ok(msmall, k):
-    """Right singular vectors of the small leverage matrix, or None if the
-    sampled matrix lost rank."""
-    u, s, vt = scipy.linalg.svd(msmall, full_matrices=False)
+def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
+    """First stage of the randomized variants, over the columns of A.
+
+    h leverage draws from the row norms of z (n x k); their rescaled columns
+    are compressed by dual-set sparsification against the sampled residual
+    E Omega D, where az = A z, to r_bss weighted picks.  Returns the picked
+    scaled columns, their indices and scales, or None when the sampled
+    leverage matrix lost rank.
+    """
+    pair = subset_select.rand_sampling(z, min(h, a.shape[1]), 1.0, rng)
+    msmall = pair.pick_rows(z).T  # k x h
+    k = z.shape[1]
+    _, s, vt = scipy.linalg.svd(msmall, full_matrices=False)
     if s.size < k or s[k - 1] <= max(msmall.shape) * s[0] * linalg.RANK_RTOL:
         return None
-    return vt[:k].T
-
-
-def _step_arrays(sel):
-    idx = np.array([i for i, _ in sel.steps], dtype=int)
-    w = np.sqrt(np.array([t for _, t in sel.steps]))
-    return idx, w
-
-
-def _levered_bss_stage(z, pick_matrix, pair, r_bss, az, sparse_eps=None,
-                       rng=None):
-    """Shared column/row front end of the randomized pipelines.
-
-    z: the factor whose row norms drove `pair`; pick_matrix: the sampled,
-    rescaled slice of A (one sampled vector per column); az: A times z on the
-    matching side.  Returns the stepped dual-set compression of the sampled
-    set, or None when the sampled leverage matrix lost rank.
-    """
-    msmall = pair.pick_rows(z).T  # k x h
-    v_m = _right_svec_rank_ok(msmall, z.shape[1])
-    if v_m is None:
-        return None
-    resid = pick_matrix - az @ msmall  # E Omega D, one column per sample
+    v_m = vt[:k].T  # right singular vectors of the sampled leverage matrix
+    pick = _cols(a, pair.indices) * pair.scales
+    resid = pick - az @ msmall  # E Omega D, one column per sample
     if sparse_eps is None:
         sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
     else:
         sel = subset_select.bss_sampling_sparse(v_m, resid.T, r_bss,
                                                 sparse_eps, rng)
-    step_idx, step_w = _step_arrays(sel)
-    scaled = pick_matrix[:, step_idx] * step_w
-    indices = pair.indices[step_idx]
-    scales = pair.scales[step_idx] * step_w
-    return scaled, indices, scales
+    step_idx, step_w = sel.stepped()
+    return (pick[:, step_idx] * step_w, pair.indices[step_idx],
+            pair.scales[step_idx] * step_w)
 
 
-def _intersection_matrix(sf, dtri, g_rpinv):
+def _exact_bss_cols(a, z, az, r_bss):
+    """First stage of the deterministic variant: dual set = the exact residual
+    columns of A - (A z) z^T."""
+    idx, w = subset_select.bss_sampling(z, (a - az @ z.T).T, r_bss).stepped()
+    return a[:, idx] * w, idx, w
+
+
+def _exact_bss_rows(at, z, r_bss):
+    """The same stage on the columns of A^T, with its residual formed as
+    A - z (z^T A), the row form's own arithmetic."""
+    a = at.T
+    idx, w = subset_select.bss_sampling(z, a - z @ (z.T @ a), r_bss).stepped()
+    return at[:, idx] * w, idx, w
+
+
+# The slots each variant fills in `_pipeline`.  `first` and `adapt` hold the
+# column and the row form of a leaf; the row form receives A^T.  Leaves are
+# looked up by name when called, so wrappers installed on module attributes
+# (as perfbench's tracer does) see every call.  `sketched` selects the
+# CountSketch subspace solver and the sketched U regression.
+_SLOTS = {
+    "linear": SimpleNamespace(
+        prepare=as_array,
+        factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng).Z,
+        first=(_levered_bss_stage,) * 2,
+        adapt=(lambda a, z, v, c2, rng:
+               adaptive.adaptive_cols(a, v, 1.0, c2, rng),
+               lambda at, z, v, r2, rng:
+               adaptive.adaptive_rows(at.T, z, v.T, r2, rng)),
+        sketched=False),
+    "sparse": SimpleNamespace(
+        prepare=as_sparse,
+        factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng).Z,
+        first=(functools.partial(_levered_bss_stage, sparse_eps=0.5),) * 2,
+        adapt=(lambda a, z, v, c2, rng:
+               adaptive.adaptive_cols_sparse(a, v, c2, rng),
+               lambda at, z, v, r2, rng:
+               adaptive.adaptive_rows_sparse(at.T, z, v.T, r2, rng)),
+        sketched=True),
+    "deterministic": SimpleNamespace(
+        prepare=as_array,
+        factor=lambda a, k, rng: deterministic_svd(a, k, 1.0).Z,
+        first=(lambda a, z, az, h, r, rng: _exact_bss_cols(a, z, az, r),
+               lambda at, z, az, h, r, rng: _exact_bss_rows(at, z, r)),
+        adapt=(lambda a, z, v, c2, rng:
+               adaptive.adaptive_cols_d(a, v, c2, z.shape[1]),
+               lambda at, z, v, r2, rng:
+               adaptive.adaptive_rows_d(at.T, z, v.T, r2)),
+        sketched=False),
+}
+
+
+def _side(a, z, first, adapt, h, r1, r2, rng, retries, diag):
+    """One selection phase over the columns of A; the row phase is this phase
+    on A^T against Z2.
+
+    The first stage compresses to r1 weighted columns, drawing again while it
+    reports a rank loss; adaptive sampling then adds r2 raw columns.  Returns
+    the indices, their scales and the scaled columns.
+    """
+    az = _matmul(a, z)
+    for _ in range(retries + 1):
+        stage = first(a, z, az, h, r1, rng)
+        if stage is not None:
+            break
+        diag["retries_used"] += 1
+    else:
+        raise NumericalError("leverage-sampled factor lost rank repeatedly")
+    scaled, idx, scales = stage
+    extra = adapt(a, z, scaled, r2, rng)
+    scaled = np.hstack([scaled, _cols(a, extra)])
+    audit.note_dense(scaled.size)
+    return (np.concatenate([idx, extra]),
+            np.concatenate([scales, np.ones(len(extra))]), scaled)
+
+
+@contextlib.contextmanager
+def _timed(diag, stage):
+    t0 = time.time()
+    yield
+    diag["stage_seconds"][stage] = time.time() - t0
+
+
+def _pipeline(a, cfg, rng, variant):
+    """The CUR pipeline every variant runs, with the slots of `variant`:
+    factor Z1, column phase, rank-k core Z2 in span(C), row phase on A^T,
+    intersection U with all scale factors folded in."""
+    slots = _SLOTS[variant]
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    a = slots.prepare(a)
+    m, n = a.shape
+    _check_dims(cfg, m, n)
+    k = cfg.k
+    diag = {"variant": variant, "seed": cfg.seed, "fidelity": cfg.fidelity,
+            "retries_used": 0, "stage_seconds": {}, "sketch_caps": []}
+
+    with _timed(diag, "approx_svd"):
+        z1 = slots.factor(a, k, rng)
+    with _timed(diag, "columns"):
+        col_idx, col_scales, c_scaled = _side(
+            a, z1, slots.first[0], slots.adapt[0], cfg.h1_val, cfg.c1_val,
+            cfg.c2_val, rng, cfg.retries, diag)
+        diag["c1_residual_sq"] = _proj_residual_sq(a, c_scaled[:, :cfg.c1_val])
+
+    with _timed(diag, "subspace"):
+        if slots.sketched:
+            sf = subspace.approx_subspace_svd(a, c_scaled, k, cfg.epsilon, rng)
+            if not sf.sketched:
+                diag["sketch_caps"].append("subspace_svd_exact")
+        else:
+            sf = subspace.best_subspace_svd(a, c_scaled, k)
+        f = linalg.qr(sf.Y @ sf.Delta)
+        z2, dtri = f.Q, f.R_tri
+
+    with _timed(diag, "rows"):
+        row_idx, row_scales, r_scaled = _side(
+            a.T, z2, slots.first[1], slots.adapt[1], cfg.h2_val, cfg.r1_val,
+            cfg.r2_val, rng, cfg.retries, diag)
+        r_scaled = r_scaled.T
+
+    # the intersection matrix: exact, or a sketched regression when the
+    # prescribed sketch width compresses the row dimension
+    with _timed(diag, "intersection"):
+        if slots.sketched and cfg.xi_u_val < m:
+            u_scaled = _sketched_u(a, sf, dtri, c_scaled, r_scaled,
+                                   cfg.xi_u_val, rng)
+        else:
+            if slots.sketched:
+                diag["sketch_caps"].append("u_regression_exact")
+            u_scaled = _exact_u(a, sf, dtri, z2, r_scaled)
+        # fold the sampling scale factors into U so C and R stay raw
+        u = col_scales[:, None] * u_scaled * row_scales[None, :]
+
+    return CurDecomposition(
+        col_indices=col_idx, col_scales=col_scales,
+        row_indices=row_idx, row_scales=row_scales,
+        C=_cols(a, col_idx), U=u, R=_cols(a.T, row_idx).T, k=k,
+        diagnostics=diag)
+
+
+def _exact_u(a, sf, dtri, z2, r_scaled):
     """U = Psi^-1 Delta D^-1 (Z2^T A R^+), rank-aware in Psi."""
+    g_rpinv = linalg.apply_right_pinv(_matmul(z2.T, a), r_scaled)
     core = scipy.linalg.solve_triangular(dtri, g_rpinv, lower=False)
     return linalg.solve_upper_rank_aware(sf.Psi, sf.Delta @ core)
 
 
-def _scale_fold(u, col_scales, row_scales):
-    """Fold the sampling scale factors into U so C and R stay raw."""
-    return col_scales[:, None] * u * row_scales[None, :]
+def _sketched_u(a, sf, dtri, c_scaled, r_scaled, xi_u, rng):
+    """U from the CountSketch regression min_Y ||W (C M Y R - A)||, where
+    M = Psi^-1 Delta D^-1 is the map sending C to Z2 (C @ M = Z2)."""
+    w = make_sse(a.shape[0], xi_u, rng)
+    core = scipy.linalg.solve_triangular(dtri.T, sf.Delta.T, lower=True).T
+    core = linalg.solve_upper_rank_aware(sf.Psi, core)
+    wc_core = apply_sse(w, c_scaled).data @ core
+    wa = apply_sse(w, a).data
+    audit.note_dense(wa.size)
+    y_opt = np.asarray(linalg.pinv(wc_core)) @ \
+        linalg.apply_right_pinv(wa, r_scaled)
+    return core @ y_opt
+
+
+def _proj_residual_sq(a, v):
+    """||A - V V^+ A||_F^2 without forming the residual."""
+    proj = _matmul(linalg.orthonormal_basis(v).T, a)
+    return linalg.frobenius_sq(a) - float(np.sum(proj * proj))
 
 
 def cur_linear_time(a, cfg, rng=None):
     """Randomized linear-time CUR: leverage sampling + dual-set compression +
     adaptive sampling on both sides, exact subspace-restricted rank-k core."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    a = as_array(a)
-    m, n = a.shape
-    _check_dims(cfg, m, n)
-    k = cfg.k
-    diag = {"variant": "linear", "seed": cfg.seed, "fidelity": cfg.fidelity,
-            "retries_used": 0, "stage_seconds": {}}
-
-    t0 = time.time()
-    z1 = randomized_svd(a, k, 1.0, rng).Z
-    az1 = a @ z1
-    diag["stage_seconds"]["approx_svd"] = time.time() - t0
-
-    # column phase
-    t0 = time.time()
-    stage = None
-    for _ in range(cfg.retries + 1):
-        pair1 = subset_select.rand_sampling(z1, min(cfg.h1_val, n), 1.0, rng)
-        aod = a[:, pair1.indices] * pair1.scales
-        stage = _levered_bss_stage(z1, aod, pair1, cfg.c1_val, az1)
-        if stage is not None:
-            break
-        diag["retries_used"] += 1
-    if stage is None:
-        raise NumericalError("leverage-sampled factor lost rank repeatedly")
-    c1_scaled, c1_idx, c1_scales = stage
-    diag["c1_residual_sq"] = _proj_residual_sq(a, c1_scaled)
-    c2_idx = adaptive.adaptive_cols(a, c1_scaled, 1.0, cfg.c2_val, rng)
-    col_idx = np.concatenate([c1_idx, c2_idx])
-    col_scales = np.concatenate([c1_scales, np.ones(len(c2_idx))])
-    c_scaled = np.hstack([c1_scaled, a[:, c2_idx]])
-    diag["stage_seconds"]["columns"] = time.time() - t0
-
-    # rank-k core within the column span
-    t0 = time.time()
-    sf = subspace.best_subspace_svd(a, c_scaled, k)
-    z2, dtri = _qr_of_core(sf)
-    diag["stage_seconds"]["subspace"] = time.time() - t0
-
-    # row phase
-    t0 = time.time()
-    atz2 = a.T @ z2
-    stage = None
-    for _ in range(cfg.retries + 1):
-        pair2 = subset_select.rand_sampling(z2, min(cfg.h2_val, m), 1.0, rng)
-        aod = a[pair2.indices].T * pair2.scales
-        stage = _levered_bss_stage(z2, aod, pair2, cfg.r1_val, atz2)
-        if stage is not None:
-            break
-        diag["retries_used"] += 1
-    if stage is None:
-        raise NumericalError("row leverage factor lost rank repeatedly")
-    r1_scaledT, r1_idx, r1_scales = stage
-    r1_scaled = r1_scaledT.T
-    r2_idx = adaptive.adaptive_rows(a, z2, r1_scaled, cfg.r2_val, rng)
-    row_idx = np.concatenate([r1_idx, r2_idx])
-    row_scales = np.concatenate([r1_scales, np.ones(len(r2_idx))])
-    r_scaled = np.vstack([r1_scaled, a[row_idx[len(r1_idx):]]])
-    diag["stage_seconds"]["rows"] = time.time() - t0
-
-    t0 = time.time()
-    g_rpinv = linalg.apply_right_pinv(z2.T @ a, r_scaled)
-    u_scaled = _intersection_matrix(sf, dtri, g_rpinv)
-    u = _scale_fold(u_scaled, col_scales, row_scales)
-    diag["stage_seconds"]["intersection"] = time.time() - t0
-
-    return CurDecomposition(
-        col_indices=col_idx, col_scales=col_scales,
-        row_indices=row_idx, row_scales=row_scales,
-        C=a[:, col_idx], U=u, R=a[row_idx], k=k, diagnostics=diag)
+    return _pipeline(a, cfg, rng, "linear")
 
 
-def _qr_of_core(sf):
-    f = linalg.qr(sf.Y @ sf.Delta)
-    return f.Q, f.R_tri
-
-
-def _proj_residual_sq(a, v):
-    """||A - V V^+ A||_F^2 without forming the residual."""
-    q = linalg.orthonormal_basis(v)
-    if is_sparse(a):
-        proj = np.asarray((as_sparse(a).T @ q).T)
-    else:
-        proj = q.T @ as_array(a)
-    return linalg.frobenius_sq(a) - float(np.sum(proj * proj))
+def cur_input_sparsity(a, cfg, rng=None):
+    """Input-sparsity CUR: every stage works on sketches or sampled slices;
+    no dense m x n intermediate is ever materialized."""
+    return _pipeline(a, cfg, rng, "sparse")
 
 
 def cur_deterministic(a, cfg):
     """Deterministic CUR with the always-valid (1 + 8 eps) guarantee."""
-    a = as_array(a)
-    m, n = a.shape
-    _check_dims(cfg, m, n)
-    k = cfg.k
-    diag = {"variant": "deterministic", "seed": cfg.seed,
-            "fidelity": cfg.fidelity, "stage_seconds": {}}
-
-    t0 = time.time()
-    c1_scaled, c1_idx, c1_scales = deterministic_column_stage(a, k, cfg.c1_val)
-    diag["c1_residual_sq"] = _proj_residual_sq(a, c1_scaled)
-    c2_idx = adaptive.adaptive_cols_d(a, c1_scaled, cfg.c2_val, k)
-    col_idx = np.concatenate([c1_idx, c2_idx])
-    col_scales = np.concatenate([c1_scales, np.ones(len(c2_idx))])
-    c_scaled = np.hstack([c1_scaled, a[:, c2_idx]])
-    diag["stage_seconds"]["columns"] = time.time() - t0
-
-    t0 = time.time()
-    sf = subspace.best_subspace_svd(a, c_scaled, k)
-    z2, dtri = _qr_of_core(sf)
-    diag["stage_seconds"]["subspace"] = time.time() - t0
-
-    t0 = time.time()
-    e2t = a - z2 @ (z2.T @ a)  # = E2^T, one vector per row of A
-    s2 = subset_select.bss_sampling(z2, e2t, cfg.r1_val)
-    r1_idx, r1_scales = _step_arrays(s2)
-    r1_scaled = a[r1_idx] * r1_scales[:, None]
-    r2_idx = adaptive.adaptive_rows_d(a, z2, r1_scaled, cfg.r2_val)
-    row_idx = np.concatenate([r1_idx, r2_idx])
-    row_scales = np.concatenate([r1_scales, np.ones(len(r2_idx))])
-    r_scaled = np.vstack([r1_scaled, a[r2_idx]])
-    diag["stage_seconds"]["rows"] = time.time() - t0
-
-    g_rpinv = linalg.apply_right_pinv(z2.T @ a, r_scaled)
-    u = _scale_fold(_intersection_matrix(sf, dtri, g_rpinv),
-                    col_scales, row_scales)
-    return CurDecomposition(
-        col_indices=col_idx, col_scales=col_scales,
-        row_indices=row_idx, row_scales=row_scales,
-        C=a[:, col_idx], U=u, R=a[row_idx], k=k, diagnostics=diag)
+    return _pipeline(a, cfg, None, "deterministic")
 
 
 def deterministic_column_stage(a, k, c1):
@@ -329,118 +361,7 @@ def deterministic_column_stage(a, k, c1):
     rank-k factor, dual set = residual columns, c1 weighted picks."""
     a = as_array(a)
     z1 = deterministic_svd(a, k, 1.0).Z
-    e1 = a - (a @ z1) @ z1.T
-    s1 = subset_select.bss_sampling(z1, e1.T, c1)
-    idx, scales = _step_arrays(s1)
-    return a[:, idx] * scales, idx, scales
-
-
-def cur_input_sparsity(a, cfg, rng=None):
-    """Input-sparsity CUR: every stage works on sketches or sampled slices;
-    no dense m x n intermediate is ever materialized."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    csr = as_sparse(a)
-    m, n = csr.shape
-    _check_dims(cfg, m, n)
-    k = cfg.k
-    eps = cfg.epsilon
-    diag = {"variant": "sparse", "seed": cfg.seed, "fidelity": cfg.fidelity,
-            "retries_used": 0, "stage_seconds": {}, "sketch_caps": []}
-
-    t0 = time.time()
-    z1 = sparse_svd(csr, k, 1.0, rng).Z
-    az1 = np.asarray(csr @ z1)
-    diag["stage_seconds"]["approx_svd"] = time.time() - t0
-
-    # column phase
-    t0 = time.time()
-    stage = None
-    for _ in range(cfg.retries + 1):
-        pair1 = subset_select.rand_sampling(z1, min(cfg.h1_val, n), 1.0, rng)
-        aod = csr[:, pair1.indices].toarray() * pair1.scales
-        audit.note_dense(aod.size)
-        stage = _levered_bss_stage(z1, aod, pair1, cfg.c1_val, az1,
-                                   sparse_eps=0.5, rng=rng)
-        if stage is not None:
-            break
-        diag["retries_used"] += 1
-    if stage is None:
-        raise NumericalError("leverage-sampled factor lost rank repeatedly")
-    c1_scaled, c1_idx, c1_scales = stage
-    diag["c1_residual_sq"] = _proj_residual_sq(csr, c1_scaled)
-    c2_idx = adaptive.adaptive_cols_sparse(csr, c1_scaled, cfg.c2_val, rng)
-    col_idx = np.concatenate([c1_idx, c2_idx])
-    col_scales = np.concatenate([c1_scales, np.ones(len(c2_idx))])
-    c_scaled = np.hstack([c1_scaled, csr[:, c2_idx].toarray()])
-    audit.note_dense(c_scaled.size)
-    diag["stage_seconds"]["columns"] = time.time() - t0
-
-    t0 = time.time()
-    sf = subspace.approx_subspace_svd(csr, c_scaled, k, eps, rng)
-    if not sf.sketched:
-        diag["sketch_caps"].append("subspace_svd_exact")
-    z2, dtri = _qr_of_core(sf)
-    diag["stage_seconds"]["subspace"] = time.time() - t0
-
-    # row phase (mirror of the column phase against Z2)
-    t0 = time.time()
-    atz2 = np.asarray(csr.T @ z2)
-    stage = None
-    for _ in range(cfg.retries + 1):
-        pair2 = subset_select.rand_sampling(z2, min(cfg.h2_val, m), 1.0, rng)
-        aod = csr[pair2.indices].toarray().T * pair2.scales
-        audit.note_dense(aod.size)
-        stage = _levered_bss_stage(z2, aod, pair2, cfg.r1_val, atz2,
-                                   sparse_eps=0.5, rng=rng)
-        if stage is not None:
-            break
-        diag["retries_used"] += 1
-    if stage is None:
-        raise NumericalError("row leverage factor lost rank repeatedly")
-    r1_scaledT, r1_idx, r1_scales = stage
-    r1_scaled = r1_scaledT.T
-    r2_idx = adaptive.adaptive_rows_sparse(csr, z2, r1_scaled, cfg.r2_val, rng)
-    row_idx = np.concatenate([r1_idx, r2_idx])
-    row_scales = np.concatenate([r1_scales, np.ones(len(r2_idx))])
-    r_scaled = np.vstack([r1_scaled, csr[r2_idx].toarray()])
-    audit.note_dense(r_scaled.size)
-    diag["stage_seconds"]["rows"] = time.time() - t0
-
-    # intersection matrix via sketched regression (exact when the prescribed
-    # sketch width cannot compress the row dimension)
-    t0 = time.time()
-    xi_u = cfg.xi_u_val
-    if xi_u >= m:
-        diag["sketch_caps"].append("u_regression_exact")
-        g_rpinv = linalg.apply_right_pinv(atz2.T, r_scaled)
-        u_scaled = _intersection_matrix(sf, dtri, g_rpinv)
-    else:
-        w = make_sse(m, xi_u, rng)
-        wc_core = apply_sse(w, c_scaled).data @ _core_map(sf, dtri)
-        wa = apply_sse(w, csr).data
-        audit.note_dense(wa.size)
-        y_opt = np.asarray(linalg.pinv(wc_core)) @ \
-            linalg.apply_right_pinv(wa, r_scaled)
-        u_scaled = _core_map(sf, dtri) @ y_opt
-    u = _scale_fold(u_scaled, col_scales, row_scales)
-    diag["stage_seconds"]["intersection"] = time.time() - t0
-
-    c_raw = csr[:, col_idx].toarray()
-    r_raw = csr[row_idx].toarray()
-    audit.note_dense(c_raw.size)
-    audit.note_dense(r_raw.size)
-    return CurDecomposition(
-        col_indices=col_idx, col_scales=col_scales,
-        row_indices=row_idx, row_scales=row_scales,
-        C=c_raw, U=u, R=r_raw, k=k, diagnostics=diag)
-
-
-def _core_map(sf, dtri):
-    """Psi^-1 Delta D^-1: the map sending C to Z2 (C @ map = Z2)."""
-    core = scipy.linalg.solve_triangular(
-        dtri.T, sf.Delta.T, lower=True).T
-    return linalg.solve_upper_rank_aware(sf.Psi, core)
+    return _exact_bss_cols(a, z1, a @ z1, c1)
 
 
 def decompose(a, cfg, rng=None):

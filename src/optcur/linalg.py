@@ -117,11 +117,45 @@ def as_array(a):
 
 def as_sparse(a):
     """Coerce to a scipy CSR matrix (without densifying)."""
+    return scipy.sparse.csr_matrix(_operand(a))
+
+
+# The dense/sparse decision for the operations the pipelines share: a sparse
+# operand is used in its own format (CSR, or its CSC view A^T), never densified
+# whole.  Private, so perfbench/tracing.py counts them in their caller's time.
+
+
+def _operand(a):
+    """The ndarray or scipy sparse matrix behind any accepted matrix."""
     if isinstance(a, SparseMatrix):
         return a.csr
     if scipy.sparse.issparse(a):
-        return scipy.sparse.csr_matrix(a)
-    return scipy.sparse.csr_matrix(as_array(a))
+        return a
+    return as_array(a)
+
+
+def _matmul(x, y):
+    """x @ y as an ndarray, either operand dense or sparse."""
+    out = _operand(x) @ _operand(y)
+    return out.toarray() if scipy.sparse.issparse(out) else np.asarray(out)
+
+
+def _cols(a, idx):
+    """Columns idx of A as an ndarray; a sparse gather is noted with the audit."""
+    a = _operand(a)
+    if not scipy.sparse.issparse(a):
+        return a[:, idx]
+    out = a[:, idx].toarray()
+    audit.note_dense(out.size)
+    return out
+
+
+def _sq_norms(a, axis):
+    """Squared column (axis 0) or row (axis 1) norms of A."""
+    a = _operand(a)
+    if scipy.sparse.issparse(a):
+        return np.asarray(a.multiply(a).sum(axis=axis)).ravel()
+    return np.sum(a * a, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -143,10 +177,6 @@ class QrFactorization:
     R_tri: np.ndarray  # c x c, upper triangular
 
 
-def rank_tolerance(shape, sigma_max):
-    return max(shape) * sigma_max * RANK_RTOL
-
-
 def svd(a):
     """Thin SVD with factors trimmed to the numerical rank."""
     a = as_array(a)
@@ -161,7 +191,7 @@ def svd(a):
     if s.size == 0 or s[0] == 0.0:
         rho = 0
     else:
-        rho = int(np.count_nonzero(s > rank_tolerance(a.shape, s[0])))
+        rho = int(np.count_nonzero(s > max(a.shape) * s[0] * RANK_RTOL))
     return SvdFactorization(u[:, :rho].copy(), s[:rho].copy(), vt[:rho].T.copy())
 
 
@@ -193,36 +223,28 @@ def qr(a):
 
 
 def frobenius_sq(a):
-    if isinstance(a, SparseMatrix):
-        return float(np.sum(a.csr.data ** 2))
-    if scipy.sparse.issparse(a):
-        return float(np.sum(a.data ** 2))
-    a = as_array(a)
-    return float(np.sum(a * a))
+    a = _operand(a)
+    x = a.data if scipy.sparse.issparse(a) else a
+    return float(np.sum(x * x))
 
 
 def spectral_norm(a):
-    if is_sparse(a):
-        csr = as_sparse(a)
-        if min(csr.shape) <= 2 or csr.nnz == 0:
-            a = csr.toarray()
-        else:
-            try:
-                s = scipy.sparse.linalg.svds(csr, k=1,
-                                             return_singular_vectors=False)
-                return float(s[0])
-            except Exception:
-                a = csr.toarray()
+    a = _operand(a)
+    if scipy.sparse.issparse(a) and min(a.shape) > 2 and a.nnz:
+        try:
+            return float(scipy.sparse.linalg.svds(
+                a, k=1, return_singular_vectors=False)[0])
+        except Exception:
+            pass  # fall back to the dense SVD
     a = as_array(a)
     if a.size == 0 or not a.any():
         return 0.0
     return float(scipy.linalg.svd(a, compute_uv=False)[0])
 
 
-def orthonormal_basis(a, rtol=None):
+def orthonormal_basis(a):
     """Orthonormal basis for the column space (rank-revealing, via SVD)."""
-    f = svd(a)
-    return f.U_A
+    return svd(a).U_A
 
 
 def row_space_projector_factor(r):
@@ -270,21 +292,31 @@ def numerical_rank(a, probe=8, seed=12345):
     return svd(a).rank
 
 
+def _pivoted_qr_rank(psi):
+    """Pivoted QR (q, t, perm) of the upper-triangular Psi and its numerical
+    rank, or None when the diagonal shows Psi is well conditioned."""
+    c = psi.shape[0]
+    d = np.abs(np.diag(psi))
+    if d.size == 0 or d.min() > c * d.max() * RANK_RTOL:
+        return None
+    q, t, perm = scipy.linalg.qr(psi, mode="economic", pivoting=True)
+    dt = np.abs(np.diag(t))
+    rho = int(np.count_nonzero(dt > c * (dt.max() if dt.size else 0.0)
+                               * RANK_RTOL))
+    return q, t, perm, rho
+
+
 def solve_upper_rank_aware(psi, b):
     """Minimum-norm X with Psi X = B for upper-triangular Psi, assuming B lies
     in range(Psi).  Fast triangular solve when Psi is well conditioned;
     rank-revealing pivoted QR otherwise."""
     psi = np.asarray(psi)
     b = np.asarray(b)
-    c = psi.shape[0]
-    d = np.abs(np.diag(psi))
-    if d.size and d.min() > c * d.max() * RANK_RTOL:
+    fact = _pivoted_qr_rank(psi)
+    if fact is None:
         return scipy.linalg.solve_triangular(psi, b, lower=False)
-    q, t, perm = scipy.linalg.qr(psi, mode="economic", pivoting=True)
-    dt = np.abs(np.diag(t))
-    rho = int(np.count_nonzero(dt > c * (dt.max() if dt.size else 0.0)
-                               * RANK_RTOL))
-    x = np.zeros((c,) + b.shape[1:])
+    q, t, perm, rho = fact
+    x = np.zeros((psi.shape[0],) + b.shape[1:])
     if rho:
         x[perm[:rho]] = scipy.linalg.solve_triangular(
             t[:rho, :rho], (q.T @ b)[:rho], lower=False)
@@ -293,13 +325,8 @@ def solve_upper_rank_aware(psi, b):
 
 def range_restrictor(psi):
     """Orthonormal basis of range(Psi) when Psi is rank-deficient, else None."""
-    psi = np.asarray(psi)
-    c = psi.shape[0]
-    d = np.abs(np.diag(psi))
-    if d.size == 0 or d.min() > c * d.max() * RANK_RTOL:
+    fact = _pivoted_qr_rank(np.asarray(psi))
+    if fact is None:
         return None
-    q, t, _ = scipy.linalg.qr(psi, mode="economic", pivoting=True)
-    dt = np.abs(np.diag(t))
-    rho = int(np.count_nonzero(dt > c * (dt.max() if dt.size else 0.0)
-                               * RANK_RTOL))
+    q, _, _, rho = fact
     return q[:, :rho]

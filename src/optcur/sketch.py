@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .linalg import DenseMatrix, as_array, as_sparse, is_sparse
+from .linalg import DenseMatrix, _matmul
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class SignSketch:
 
     S: np.ndarray
     s: int
-    beta: float
 
 
 def make_sse(n, xi, rng):
@@ -50,18 +49,10 @@ def make_sse(n, xi, rng):
 
 def apply_sse(w, a):
     """Compute W A (xi x cols), touching each stored nonzero of A once."""
-    if is_sparse(a):
-        csr = as_sparse(a)
-        if w.n != csr.shape[0]:
-            raise ValueError("embedding source dim %d != rows %d"
-                             % (w.n, csr.shape[0]))
-        return DenseMatrix((w.as_csr() @ csr).toarray())
-    a = as_array(a)
-    if w.n != a.shape[0]:
-        raise ValueError("embedding source dim %d != rows %d" % (w.n, a.shape[0]))
-    out = np.zeros((w.xi, a.shape[1]))
-    np.add.at(out, w.h, w.y[:, None] * a)
-    return DenseMatrix(out)
+    m = np.shape(a)[0]
+    if w.n != m:
+        raise ValueError("embedding source dim %d != rows %d" % (w.n, m))
+    return DenseMatrix(_matmul(w.as_csr(), a))
 
 
 def apply_sse_compressed(w, a):
@@ -73,24 +64,15 @@ def apply_sse_compressed(w, a):
     buckets (<= n) even when xi is huge.
     """
     buckets, compressed = np.unique(w.h, return_inverse=True)
-    if is_sparse(a):
-        csr = as_sparse(a)
-        s = scipy.sparse.csr_matrix(
-            (w.y.astype(np.float64), (compressed, np.arange(w.n))),
-            shape=(buckets.size, w.n),
-        )
-        return (s @ csr).toarray()
-    a = as_array(a)
-    out = np.zeros((buckets.size, a.shape[1]))
-    np.add.at(out, compressed, w.y[:, None] * a)
-    return out
+    occupied = SparseEmbedding(xi=buckets.size, n=w.n, h=compressed, y=w.y)
+    return _matmul(occupied.as_csr(), a)
 
 
 def make_sign_sketch(s, m, rng, scaled=True):
     signs = (rng.integers(0, 2, size=(s, m)) * 2 - 1).astype(np.float64)
     if scaled:
         signs /= np.sqrt(s)
-    return SignSketch(S=signs, s=int(s), beta=0.0)
+    return SignSketch(S=signs, s=int(s))
 
 
 def jlt_rows(n, beta):
@@ -107,6 +89,4 @@ def jlt(b, beta, rng):
         raise ValueError("need at least 2 columns")
     s = jlt_rows(n, beta)
     sk = make_sign_sketch(s, m, rng)
-    if is_sparse(b):
-        return DenseMatrix(sk.S @ as_sparse(b))
-    return DenseMatrix(sk.S @ as_array(b))
+    return DenseMatrix(_matmul(sk.S, b))

@@ -31,7 +31,6 @@ class SamplingPair:
     indices: np.ndarray  # r values in [0, n)
     scales: np.ndarray  # D_jj = 1 / sqrt(p_i * r)
     probs: np.ndarray  # the distribution sampled from
-    beta: float
 
     @property
     def r(self):
@@ -61,16 +60,19 @@ class WeightedSelection:
     def selection_matrix(self):
         """S as an n x r dense matrix, one sqrt-weight entry per greedy step."""
         s = np.zeros((self.n, self.r))
-        for j, (i, t) in enumerate(self.steps):
-            s[i, j] += np.sqrt(t)
+        idx, w = self.stepped()
+        s[idx, np.arange(len(idx))] = w
         return s
+
+    def stepped(self):
+        """(indices, sqrt-weights) of the greedy steps: S one column a step."""
+        idx = np.array([i for i, _ in self.steps], dtype=int)
+        return idx, np.sqrt(np.array([t for _, t in self.steps]))
 
     def pick_rows(self, x):
         """S^T X: rows of X at the stepped indices, sqrt-weight scaled."""
-        x = as_array(x)
-        idx = np.array([i for i, _ in self.steps], dtype=int)
-        w = np.sqrt(np.array([t for _, t in self.steps]))
-        return x[idx] * w[:, None]
+        idx, w = self.stepped()
+        return as_array(x)[idx] * w[:, None]
 
 
 def rand_sampling(x, r, beta, rng, probs=None):
@@ -103,7 +105,7 @@ def rand_sampling(x, r, beta, rng, probs=None):
             raise ValueError("supplied distribution violates the beta floor")
     idx = rng.choice(n, size=r, p=p)
     return SamplingPair(indices=idx, scales=1.0 / np.sqrt(p[idx] * r),
-                        probs=p, beta=float(beta))
+                        probs=p)
 
 
 def bss_sampling(v, a, r):

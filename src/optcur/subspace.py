@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .linalg import as_array, as_sparse, is_sparse
+from .linalg import _matmul, as_array
 from .sketch import make_sse, apply_sse_compressed
 
 
@@ -30,16 +30,7 @@ class SubspaceFactor:
     def project(self, a):
         """Y Delta Delta^T Y^T A, the rank-<=k approximation in span(V)."""
         b = self.Y @ self.Delta
-        if is_sparse(a):
-            return b @ np.asarray((as_sparse(a).T @ b).T)
-        return b @ (b.T @ as_array(a))
-
-
-def _coefficient_matrix(y, a):
-    """Y^T A without densifying a sparse A."""
-    if is_sparse(a):
-        return np.asarray((as_sparse(a).T @ y).T)
-    return y.T @ as_array(a)
+        return b @ _matmul(b.T, a)
 
 
 def _restrict_to_range(psi, coeff):
@@ -64,16 +55,20 @@ def _top_left_singvecs(xi, k):
     return u[:, :k].copy()
 
 
-def best_subspace_svd(a, v, k):
-    """Exact Pi^F_{V,k}: Y from QR of V, Delta from the rank-k SVD of Y^T A."""
+def _coefficients(a, v, k):
+    """QR of V, and the coefficients Y^T A restricted to range(Psi)."""
     v = as_array(v)
-    m, c = v.shape
-    if not 1 <= k < c:
+    if not 1 <= k < v.shape[1]:
         raise ValueError("need 1 <= k < c")
     f = linalg.qr(v)
-    xi = _restrict_to_range(f.R_tri, _coefficient_matrix(f.Q, a))
-    delta = _top_left_singvecs(xi, k)
-    return SubspaceFactor(Y=f.Q, Psi=f.R_tri, Delta=delta, sketched=False)
+    return f, _restrict_to_range(f.R_tri, _matmul(f.Q.T, a))
+
+
+def best_subspace_svd(a, v, k):
+    """Exact Pi^F_{V,k}: Y from QR of V, Delta from the rank-k SVD of Y^T A."""
+    f, xi = _coefficients(a, v, k)
+    return SubspaceFactor(Y=f.Q, Psi=f.R_tri, Delta=_top_left_singvecs(xi, k),
+                          sketched=False)
 
 
 def approx_subspace_svd(a, v, k, eps, rng):
@@ -83,15 +78,11 @@ def approx_subspace_svd(a, v, k, eps, rng):
     When the prescribed width does not compress (xi >= n) the exact
     coefficients are used, which satisfies the embedding contract trivially.
     """
-    v = as_array(v)
-    m, c = v.shape
-    if not 1 <= k < c:
-        raise ValueError("need 1 <= k < c")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
+    f, coeff = _coefficients(a, v, k)
+    c = f.Q.shape[1]
     n = np.shape(a)[1]
-    f = linalg.qr(v)
-    coeff = _restrict_to_range(f.R_tri, _coefficient_matrix(f.Q, a))
     xi_dim = int(np.ceil(40.0 * c * c / (eps * eps)))
     sketched = xi_dim < n
     if sketched:

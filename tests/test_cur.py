@@ -276,3 +276,18 @@ def test_cur_error_sq_sparse_matches_dense():
     dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(4))
     direct = np.sum((a.toarray() - dec.C @ dec.U @ dec.R) ** 2)
     assert cur.cur_error_sq(a, dec) == pytest.approx(direct, abs=1e-6)
+
+
+@pytest.mark.parametrize("variant", cur.VARIANTS)
+def test_result_independent_of_input_representation(variant):
+    # the same matrix given dense or as CSR yields the same bits
+    rng = np.random.default_rng(163)
+    a = lowrank_noise(32, 30, 3, 0.3, rng)
+    a[rng.random(a.shape) < 0.6] = 0.0
+    cfg = cur.CurConfig(k=2, epsilon=1.0, variant=variant,
+                        fidelity="heuristic", c2=6, r2=6)
+    dense = cur.decompose(a, cfg, np.random.default_rng(5))
+    csr = cur.decompose(scipy.sparse.csr_matrix(a), cfg,
+                        np.random.default_rng(5))
+    for name in ("col_indices", "row_indices", "U"):
+        assert getattr(dense, name).tobytes() == getattr(csr, name).tobytes()

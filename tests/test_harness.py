@@ -271,3 +271,33 @@ def test_trials_keep_best_ratio(tmp_path):
         d = cur.decompose(mat, cfg, np.random.default_rng(s))
         singles.append(cur.evaluate(mat, d).ratio)
     assert rep.ratio == pytest.approx(min(singles), rel=1e-12)
+
+
+def test_trials_draw_distinct_seeds(tmp_path, monkeypatch):
+    mat = mmio.read_matrix(write_test_matrix(tmp_path))
+    cfg = cur.CurConfig(k=2, epsilon=1.0, fidelity="heuristic", seed=7)
+    picks = []
+    decompose = cur.decompose
+
+    def recording(a, c, rng=None):
+        dec = decompose(a, c, rng)
+        picks.append(tuple(dec.col_indices))
+        return dec
+
+    monkeypatch.setattr(cur, "decompose", recording)
+    cli._run_decompose(mat, cfg, 4)
+    seeds = [cli._derived_seed(7, t) for t in range(4)]
+    assert seeds[0] == 7 and len(set(seeds)) == 4
+    assert len(picks) == 4 and len(set(picks)) >= 2
+
+
+def test_linalg_error_exits_3(tmp_path, monkeypatch):
+    inp = write_test_matrix(tmp_path)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cur, "decompose", failing)
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", tmp_path / "out"]) == 3
