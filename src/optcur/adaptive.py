@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import _matmul, _sq_norms, as_array
+from .linalg import _col_sq_norms, _matmul, _operand, as_array
 from .sketch import jlt_rows, make_sign_sketch
 
 _ZERO_RTOL = 1e-13
@@ -64,18 +64,14 @@ def residual_col_distribution(a, v):
     ||b_j||^2 = ||a_j||^2 - ||Q^T a_j||^2 with Q an orthonormal basis of V."""
     q = linalg.orthonormal_basis(v)
     proj = _matmul(q.T, a)
-    sq = _sq_norms(a, 0) - np.sum(proj * proj, axis=0)
+    sq = _col_sq_norms(a) - np.sum(proj * proj, axis=0)
     p, fallback = _normalize(sq, linalg.frobenius_sq(a))
     return ResidualDistribution(p=p, alpha=1.0, uniform_fallback=fallback)
 
 
 def residual_row_distribution(a, r1):
-    """Exact row distribution of B = A - A R1^+ R1."""
-    q = linalg.row_space_projector_factor(as_array(r1))
-    proj = _matmul(a, q)
-    sq = _sq_norms(a, 1) - np.sum(proj * proj, axis=1)
-    p, fallback = _normalize(sq, linalg.frobenius_sq(a))
-    return ResidualDistribution(p=p, alpha=1.0, uniform_fallback=fallback)
+    """Exact row distribution of B = A - A R1^+ R1: the column form on A^T."""
+    return residual_col_distribution(_operand(a).T, as_array(r1).T)
 
 
 def sketched_col_distribution(a, v, rng, beta=1.0):
@@ -87,21 +83,15 @@ def sketched_col_distribution(a, v, rng, beta=1.0):
     m, n = np.shape(a)
     s = make_sign_sketch(jlt_rows(n, beta), m, rng)
     v = as_array(v)
-    vpa = _matmul(np.asarray(linalg.pinv(v)), a)
+    vpa = _matmul(linalg.pinv(v), a)
     bt = _matmul(s.S, a) - (s.S @ v) @ vpa
     p, fallback = _normalize(np.sum(bt * bt, axis=0), linalg.frobenius_sq(a))
     return ResidualDistribution(p=p, alpha=1.0 / 3.0, uniform_fallback=fallback)
 
 
 def sketched_row_distribution(a, r1, rng, beta=1.0):
-    """Row distribution of B S^T = A S^T - A (R1^+ (R1 S^T))."""
-    m, n = np.shape(a)
-    s = make_sign_sketch(jlt_rows(m, beta), n, rng)
-    r1 = as_array(r1)
-    inner = np.asarray(linalg.pinv(r1)) @ (r1 @ s.S.T)
-    bst = _matmul(a, s.S.T) - _matmul(a, inner)
-    p, fallback = _normalize(np.sum(bst * bst, axis=1), linalg.frobenius_sq(a))
-    return ResidualDistribution(p=p, alpha=1.0 / 3.0, uniform_fallback=fallback)
+    """Sketched row distribution of A - A R1^+ R1: the column form on A^T."""
+    return sketched_col_distribution(_operand(a).T, as_array(r1).T, rng, beta)
 
 
 def _draw(dist, count, rng):
@@ -250,5 +240,5 @@ def adaptive_cols_d(a, v, c2, k):
     """Deterministic column selection: the row procedure on the transpose,
     with the rank-k truncation of A as the projection target."""
     a = as_array(a)
-    a_k = np.asarray(linalg.truncate(linalg.svd(a), k))
+    a_k = linalg.truncate(linalg.svd(a), k)
     return adaptive_rows_d(a.T, a_k.T, as_array(v).T, c2)

@@ -75,5 +75,4 @@ def sparse_svd(a, k, eps, rng):
             return_singular_vectors="vh")
         return FactorZ(Z=vt[np.argsort(-s)].T.copy())
     w = make_sse(m, xi, rng)
-    wa = apply_sse(w, csr).data
-    return FactorZ(Z=_top_right_singvecs(wa, k))
+    return FactorZ(Z=_top_right_singvecs(apply_sse(w, csr), k))

@@ -21,8 +21,8 @@ import scipy.sparse.linalg
 
 from . import adaptive, audit, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
-from .linalg import (NumericalError, _cols, _matmul, as_array, as_sparse,
-                     is_sparse)
+from .linalg import (NumericalError, _check_finite, _cols, _matmul, as_array,
+                     as_sparse, is_sparse)
 from .sketch import make_sse, apply_sse
 
 VARIANTS = ("linear", "sparse", "deterministic")
@@ -178,16 +178,8 @@ def _exact_bss_cols(a, z, az, r_bss):
     return a[:, idx] * w, idx, w
 
 
-def _exact_bss_rows(at, z, r_bss):
-    """The same stage on the columns of A^T, with its residual formed as
-    A - z (z^T A), the row form's own arithmetic."""
-    a = at.T
-    idx, w = subset_select.bss_sampling(z, a - z @ (z.T @ a), r_bss).stepped()
-    return at[:, idx] * w, idx, w
-
-
-# The slots each variant fills in `_pipeline`.  `first` and `adapt` hold the
-# column and the row form of a leaf; the row form receives A^T.  Leaves are
+# The slots each variant fills in `_pipeline`.  `_side` runs the same `first`
+# and `adapt` leaf on A for the columns and on A^T for the rows.  Leaves are
 # looked up by name when called, so wrappers installed on module attributes
 # (as perfbench's tracer does) see every call.  `sketched` selects the
 # CountSketch subspace solver and the sketched U regression.
@@ -195,35 +187,30 @@ _SLOTS = {
     "linear": SimpleNamespace(
         prepare=as_array,
         factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng).Z,
-        first=(_levered_bss_stage,) * 2,
-        adapt=(lambda a, z, v, c2, rng:
-               adaptive.adaptive_cols(a, v, 1.0, c2, rng),
-               lambda at, z, v, r2, rng:
-               adaptive.adaptive_rows(at.T, z, v.T, r2, rng)),
+        first=_levered_bss_stage,
+        adapt=lambda a, z, v, c2, rng:
+        adaptive.adaptive_cols(a, v, 1.0, c2, rng),
         sketched=False),
     "sparse": SimpleNamespace(
         prepare=as_sparse,
         factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng).Z,
-        first=(functools.partial(_levered_bss_stage, sparse_eps=0.5),) * 2,
-        adapt=(lambda a, z, v, c2, rng:
-               adaptive.adaptive_cols_sparse(a, v, c2, rng),
-               lambda at, z, v, r2, rng:
-               adaptive.adaptive_rows_sparse(at.T, z, v.T, r2, rng)),
+        first=functools.partial(_levered_bss_stage, sparse_eps=0.5),
+        adapt=lambda a, z, v, c2, rng:
+        adaptive.adaptive_cols_sparse(a, v, c2, rng),
         sketched=True),
+    # the adaptive target is A Z Z^T: A_k on the column side, where Z1 holds
+    # the top right singular vectors of A
     "deterministic": SimpleNamespace(
         prepare=as_array,
         factor=lambda a, k, rng: deterministic_svd(a, k, 1.0).Z,
-        first=(lambda a, z, az, h, r, rng: _exact_bss_cols(a, z, az, r),
-               lambda at, z, az, h, r, rng: _exact_bss_rows(at, z, r)),
-        adapt=(lambda a, z, v, c2, rng:
-               adaptive.adaptive_cols_d(a, v, c2, z.shape[1]),
-               lambda at, z, v, r2, rng:
-               adaptive.adaptive_rows_d(at.T, z, v.T, r2)),
+        first=lambda a, z, az, h, r, rng: _exact_bss_cols(a, z, az, r),
+        adapt=lambda a, z, v, c2, rng:
+        adaptive.adaptive_rows_d(a.T, z, v.T, c2),
         sketched=False),
 }
 
 
-def _side(a, z, first, adapt, h, r1, r2, rng, retries, diag):
+def _side(a, z, slots, h, r1, r2, rng, retries, diag):
     """One selection phase over the columns of A; the row phase is this phase
     on A^T against Z2.
 
@@ -233,14 +220,14 @@ def _side(a, z, first, adapt, h, r1, r2, rng, retries, diag):
     """
     az = _matmul(a, z)
     for _ in range(retries + 1):
-        stage = first(a, z, az, h, r1, rng)
+        stage = slots.first(a, z, az, h, r1, rng)
         if stage is not None:
             break
         diag["retries_used"] += 1
     else:
         raise NumericalError("leverage-sampled factor lost rank repeatedly")
     scaled, idx, scales = stage
-    extra = adapt(a, z, scaled, r2, rng)
+    extra = slots.adapt(a, z, scaled, r2, rng)
     scaled = np.hstack([scaled, _cols(a, extra)])
     audit.note_dense(scaled.size)
     return (np.concatenate([idx, extra]),
@@ -262,6 +249,7 @@ def _pipeline(a, cfg, rng, variant):
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     a = slots.prepare(a)
+    _check_finite(a)
     m, n = a.shape
     _check_dims(cfg, m, n)
     k = cfg.k
@@ -272,8 +260,8 @@ def _pipeline(a, cfg, rng, variant):
         z1 = slots.factor(a, k, rng)
     with _timed(diag, "columns"):
         col_idx, col_scales, c_scaled = _side(
-            a, z1, slots.first[0], slots.adapt[0], cfg.h1_val, cfg.c1_val,
-            cfg.c2_val, rng, cfg.retries, diag)
+            a, z1, slots, cfg.h1_val, cfg.c1_val, cfg.c2_val, rng,
+            cfg.retries, diag)
         diag["c1_residual_sq"] = _proj_residual_sq(a, c_scaled[:, :cfg.c1_val])
 
     with _timed(diag, "subspace"):
@@ -288,8 +276,8 @@ def _pipeline(a, cfg, rng, variant):
 
     with _timed(diag, "rows"):
         row_idx, row_scales, r_scaled = _side(
-            a.T, z2, slots.first[1], slots.adapt[1], cfg.h2_val, cfg.r1_val,
-            cfg.r2_val, rng, cfg.retries, diag)
+            a.T, z2, slots, cfg.h2_val, cfg.r1_val, cfg.r2_val, rng,
+            cfg.retries, diag)
         r_scaled = r_scaled.T
 
     # the intersection matrix: exact, or a sketched regression when the
@@ -325,11 +313,10 @@ def _sketched_u(a, sf, dtri, c_scaled, r_scaled, xi_u, rng):
     w = make_sse(a.shape[0], xi_u, rng)
     core = scipy.linalg.solve_triangular(dtri.T, sf.Delta.T, lower=True).T
     core = linalg.solve_upper_rank_aware(sf.Psi, core)
-    wc_core = apply_sse(w, c_scaled).data @ core
-    wa = apply_sse(w, a).data
+    wc_core = apply_sse(w, c_scaled) @ core
+    wa = apply_sse(w, a)
     audit.note_dense(wa.size)
-    y_opt = np.asarray(linalg.pinv(wc_core)) @ \
-        linalg.apply_right_pinv(wa, r_scaled)
+    y_opt = linalg.pinv(wc_core) @ linalg.apply_right_pinv(wa, r_scaled)
     return core @ y_opt
 
 
@@ -378,7 +365,9 @@ def top_sigma_sq(a, k):
     if is_sparse(a):
         csr = as_sparse(a)
         if k < min(csr.shape) - 1:
-            s = scipy.sparse.linalg.svds(csr, k=k,
+            # a fixed start vector, so every call returns the same bits
+            v0 = np.random.default_rng(0).standard_normal(min(csr.shape))
+            s = scipy.sparse.linalg.svds(csr, k=k, v0=v0,
                                          return_singular_vectors=False)
             return float(np.sum(s * s))
         a = csr.toarray()

@@ -1,9 +1,10 @@
-"""Dense/sparse matrix types and the exact factorization layer.
+"""Dense/sparse input types and the exact factorization layer.
 
 Everything downstream (sketches, subset selection, the CUR pipelines) is
 measured against the operations here: exact SVD, QR, Moore-Penrose
-pseudo-inverse, best rank-k truncation, and norms.  Matrices are immutable
-after construction; operations are pure.
+pseudo-inverse, best rank-k truncation, and norms.  DenseMatrix and
+SparseMatrix are validated, immutable input types; operations are pure and
+return plain ndarrays.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ class NumericalError(RuntimeError):
 
 
 def _check_finite(a):
+    if scipy.sparse.issparse(a):
+        a = a.data
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
 
@@ -68,10 +71,10 @@ class SparseMatrix:
     """Immutable CSR matrix; the carrier for nnz-time code paths."""
 
     def __init__(self, csr):
-        m = scipy.sparse.csr_matrix(csr, dtype=np.float64)
+        m = scipy.sparse.csr_matrix(csr, dtype=np.float64, copy=True)
         m.sort_indices()
         m.eliminate_zeros()
-        _check_finite(m.data)
+        _check_finite(m)
         self.csr = m
 
     @property
@@ -150,12 +153,12 @@ def _cols(a, idx):
     return out
 
 
-def _sq_norms(a, axis):
-    """Squared column (axis 0) or row (axis 1) norms of A."""
+def _col_sq_norms(a):
+    """Squared column norms of A."""
     a = _operand(a)
     if scipy.sparse.issparse(a):
-        return np.asarray(a.multiply(a).sum(axis=axis)).ravel()
-    return np.sum(a * a, axis=axis)
+        return np.asarray(a.multiply(a).sum(axis=0)).ravel()
+    return np.sum(a * a, axis=0)
 
 
 @dataclass(frozen=True)
@@ -200,16 +203,13 @@ def truncate(f, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     k = min(k, f.rank)
-    return DenseMatrix((f.U_A[:, :k] * f.sigma[:k]) @ f.V_A[:, :k].T)
+    return (f.U_A[:, :k] * f.sigma[:k]) @ f.V_A[:, :k].T
 
 
 def pinv(a):
-    """Moore-Penrose pseudo-inverse via the trimmed SVD."""
+    """Moore-Penrose pseudo-inverse via the trimmed SVD (zeros at rank 0)."""
     f = svd(a)
-    if f.rank == 0:
-        m, n = np.shape(as_array(a))
-        return DenseMatrix(np.zeros((n, m)))
-    return DenseMatrix((f.V_A / f.sigma) @ f.U_A.T)
+    return (f.V_A / f.sigma) @ f.U_A.T
 
 
 def qr(a):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .linalg import DenseMatrix, _matmul
+from .linalg import _matmul
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def apply_sse(w, a):
     m = np.shape(a)[0]
     if w.n != m:
         raise ValueError("embedding source dim %d != rows %d" % (w.n, m))
-    return DenseMatrix(_matmul(w.as_csr(), a))
+    return _matmul(w.as_csr(), a)
 
 
 def apply_sse_compressed(w, a):
@@ -89,4 +89,4 @@ def jlt(b, beta, rng):
         raise ValueError("need at least 2 columns")
     s = jlt_rows(n, beta)
     sk = make_sign_sketch(s, m, rng)
-    return DenseMatrix(_matmul(sk.S, b))
+    return _matmul(sk.S, b)

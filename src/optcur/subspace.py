@@ -103,5 +103,5 @@ def rank_constrained_u(a, c, r, k):
     u_c = linalg.svd(c).U_A
     v_r = linalg.svd(r).V_A
     inner = u_c @ (u_c.T @ a @ v_r) @ v_r.T
-    inner_k = np.asarray(linalg.truncate(linalg.svd(inner), k))
-    return np.asarray(linalg.pinv(c)) @ inner_k @ np.asarray(linalg.pinv(r))
+    inner_k = linalg.truncate(linalg.svd(inner), k)
+    return linalg.pinv(c) @ inner_k @ linalg.pinv(r)

@@ -7,6 +7,7 @@ every instance.
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
@@ -154,6 +155,25 @@ def test_sketched_row_distribution_floor():
             a, r1, np.random.default_rng(seed)).p
         hits += np.all(p >= exact / 3.0 - 1e-12)
     assert hits >= 99
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_row_distributions_mirror_column_forms(kind):
+    # the row forms are the column forms on A^T, bit for bit
+    a = lowrank_noise(30, 24, 3, 0.3, np.random.default_rng(83))
+    a[np.random.default_rng(84).random(a.shape) < 0.5] = 0.0
+    r1 = a[:5].copy()
+    if kind == "csr":
+        a = scipy.sparse.csr_matrix(a)
+    rows = adaptive.residual_row_distribution(a, r1).p
+    cols = adaptive.residual_col_distribution(a.T, r1.T).p
+    assert rows.tobytes() == cols.tobytes()
+    for seed in range(10):
+        rows = adaptive.sketched_row_distribution(
+            a, r1, np.random.default_rng(seed)).p
+        cols = adaptive.sketched_col_distribution(
+            a.T, r1.T, np.random.default_rng(seed)).p
+        assert rows.tobytes() == cols.tobytes()
 
 
 def test_adaptive_cols_sparse_zero_residual(rng):

@@ -291,3 +291,26 @@ def test_result_independent_of_input_representation(variant):
                         np.random.default_rng(5))
     for name in ("col_indices", "row_indices", "U"):
         assert getattr(dense, name).tobytes() == getattr(csr, name).tobytes()
+
+
+@pytest.mark.parametrize("variant", cur.VARIANTS)
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_nonfinite_input_raises_value_error(variant, kind):
+    a = lowrank_noise(60, 50, 3, 0.3, np.random.default_rng(8))
+    a[7, 11] = np.nan
+    if kind == "csr":
+        a = scipy.sparse.csr_matrix(a)
+    cfg = cur.CurConfig(k=2, epsilon=1.0, variant=variant,
+                        fidelity="heuristic")
+    with pytest.raises(ValueError):
+        cur.decompose(a, cfg, np.random.default_rng(0))
+
+
+def test_evaluate_repeatable_on_csr():
+    a = sparse_instance(50, 40, 0.2, 2, 31)
+    cfg = cur.CurConfig(k=2, epsilon=1.0, variant="sparse",
+                        fidelity="heuristic")
+    dec = cur.decompose(a, cfg, np.random.default_rng(1))
+    bits = {np.float64(cur.evaluate(a, dec).opt_sq).tobytes()
+            for _ in range(3)}
+    assert len(bits) == 1

@@ -57,6 +57,19 @@ def test_sparse_matrix_csr_invariants():
     assert linalg.SparseMatrix(coo.tocsr()).nnz == 1
 
 
+def test_sparse_matrix_leaves_caller_csr_unchanged():
+    # unsorted column indices and one stored zero, as a caller may build them
+    csr = scipy.sparse.csr_matrix(
+        (np.array([3.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])),
+        shape=(1, 3))
+    indices, data = csr.indices.copy(), csr.data.copy()
+    m = linalg.SparseMatrix(csr)
+    assert m.nnz == 2
+    assert csr.nnz == 3
+    assert np.array_equal(csr.indices, indices)
+    assert np.array_equal(csr.data, data)
+
+
 # ---------------------------------------------------------------------------
 # svd
 
