@@ -364,6 +364,8 @@ def top_sigma_sq(a, k):
     """Sum of the top-k squared singular values (sparse-aware)."""
     if is_sparse(a):
         csr = as_sparse(a)
+        if not csr.nnz:
+            return 0.0  # ARPACK fails on the zero matrix
         if k < min(csr.shape) - 1:
             # a fixed start vector, so every call returns the same bits
             v0 = np.random.default_rng(0).standard_normal(min(csr.shape))
@@ -371,8 +373,7 @@ def top_sigma_sq(a, k):
                                          return_singular_vectors=False)
             return float(np.sum(s * s))
         a = csr.toarray()
-    f = linalg.svd(a)
-    return float(np.sum(f.sigma[:k] ** 2))
+    return float(np.sum(linalg.singular_values(a)[:k] ** 2))
 
 
 def optimal_residual_sq(a, k):
@@ -381,14 +382,28 @@ def optimal_residual_sq(a, k):
 
 
 def cur_error_sq(a, dec):
-    """||A - C U R||_F^2 without forming CUR at full density."""
+    """||A - C U R||_F^2 without forming CUR at full density.
+
+    On sparse input the Gram form ||A||^2 - 2<A, CUR> + ||CUR||^2 carries a
+    rounding error of about eps * (||A||^2 + ||CUR||^2), so an error below
+    1e-10 of that scale has few correct digits; it is summed directly
+    instead, a block of rows at a time."""
     c = dec.C
     ur = dec.U @ dec.R
     if is_sparse(a):
         csr = as_sparse(a)
+        fro = linalg.frobenius_sq(a)
         cross = float(np.sum(np.asarray(csr.T @ c).T * ur))
         norm_cur = float(np.sum((c.T @ c) @ ur * ur))
-        return linalg.frobenius_sq(a) - 2.0 * cross + norm_cur
+        err_sq = fro - 2.0 * cross + norm_cur
+        if err_sq > 1e-10 * (fro + norm_cur):
+            return err_sq
+        step = max(1, (1 << 16) // max(csr.shape[1], 1))
+        err_sq = 0.0
+        for i in range(0, csr.shape[0], step):
+            block = csr[i:i + step].toarray() - c[i:i + step] @ ur
+            err_sq += float(np.sum(block * block))
+        return err_sq
     a = as_array(a)
     return float(np.sum((a - c @ ur) ** 2))
 

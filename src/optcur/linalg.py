@@ -180,21 +180,34 @@ class QrFactorization:
     R_tri: np.ndarray  # c x c, upper triangular
 
 
+def _lapack_svd(a, **kw):
+    """scipy's SVD by gesdd, retried with gesvd; NumericalError if both fail."""
+    try:
+        return scipy.linalg.svd(a, lapack_driver="gesdd", **kw)
+    except scipy.linalg.LinAlgError:
+        try:
+            return scipy.linalg.svd(a, lapack_driver="gesvd", **kw)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError("SVD failed to converge") from exc
+
+
+def _rank(s, shape):
+    """Numerical rank from the descending singular values of a matrix."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > max(shape) * s[0] * RANK_RTOL))
+
+
+def singular_values(a):
+    """All singular values, descending, without forming the singular vectors."""
+    return _lapack_svd(as_array(a), compute_uv=False)
+
+
 def svd(a):
     """Thin SVD with factors trimmed to the numerical rank."""
     a = as_array(a)
-    try:
-        u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd")
-    except scipy.linalg.LinAlgError:
-        try:
-            u, s, vt = scipy.linalg.svd(a, full_matrices=False,
-                                        lapack_driver="gesvd")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError("SVD failed to converge") from exc
-    if s.size == 0 or s[0] == 0.0:
-        rho = 0
-    else:
-        rho = int(np.count_nonzero(s > max(a.shape) * s[0] * RANK_RTOL))
+    u, s, vt = _lapack_svd(a, full_matrices=False)
+    rho = _rank(s, a.shape)
     return SvdFactorization(u[:, :rho].copy(), s[:rho].copy(), vt[:rho].T.copy())
 
 
@@ -239,7 +252,7 @@ def spectral_norm(a):
     a = as_array(a)
     if a.size == 0 or not a.any():
         return 0.0
-    return float(scipy.linalg.svd(a, compute_uv=False)[0])
+    return float(singular_values(a)[0])
 
 
 def orthonormal_basis(a):
@@ -265,7 +278,9 @@ def apply_right_pinv(g, r):
         return scipy.linalg.solve_triangular(t, (g @ q).T, lower=False).T
     # rank-deficient R: (R^T)^+ G^T is the minimum-norm least-squares
     # solution, which gelsy computes via complete orthogonal factorization
-    sol = scipy.linalg.lstsq(r.T, g.T, lapack_driver="gelsy")[0]
+    # with the library's rank cutoff, not gelsy's default of machine epsilon
+    sol = scipy.linalg.lstsq(r.T, g.T, cond=max(r.shape) * RANK_RTOL,
+                             lapack_driver="gelsy")[0]
     return sol.T
 
 
@@ -273,23 +288,21 @@ def numerical_rank(a, probe=8, seed=12345):
     """Rank of a matrix that is expected to be (very) low rank.
 
     A random range probe certifies the rank cheaply; if the probe fails to
-    capture the range the exact SVD path is used.
+    capture the range the exact singular values are used.
     """
     a = np.asarray(a)
     m, n = a.shape
-    if min(m, n) <= probe * 4:
-        return svd(a).rank
     rng = np.random.default_rng(seed)
-    guess = 0
     width = probe
-    while width <= min(m, n) // 2:
+    while min(m, n) > probe * 4 and width <= min(m, n) // 2:
         y = a @ rng.standard_normal((n, width))
         q = scipy.linalg.qr(y, mode="economic")[0]
-        resid = a - q @ (q.T @ a)
-        if frobenius_sq(resid) <= (1e-24) * max(frobenius_sq(a), 1e-300):
-            return svd(q.T @ a).rank
+        b = q.T @ a
+        if frobenius_sq(a - q @ b) <= (1e-24) * max(frobenius_sq(a), 1e-300):
+            a = b  # range(Q) holds range(A): A and Q^T A share their rank
+            break
         width *= 4
-    return svd(a).rank
+    return _rank(singular_values(a), a.shape)
 
 
 def _pivoted_qr_rank(psi):

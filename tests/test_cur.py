@@ -314,3 +314,40 @@ def test_evaluate_repeatable_on_csr():
     bits = {np.float64(cur.evaluate(a, dec).opt_sq).tobytes()
             for _ in range(3)}
     assert len(bits) == 1
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_top_sigma_sq_matches_singular_values(kind, rank, monkeypatch):
+    rng = np.random.default_rng(40 + rank)
+    a = rng.standard_normal((40, rank)) @ rng.standard_normal((rank, 30))
+    sigma = np.linalg.svd(a, compute_uv=False)
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("singular vectors are not needed")
+
+    monkeypatch.setattr(linalg, "svd", no_vectors)
+    for k in (3, 29, 30):
+        top = cur.top_sigma_sq(x, k)
+        expected = float(np.sum(sigma[:k] ** 2))
+        assert top == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        assert cur.optimal_residual_sq(x, k) >= 0.0
+
+
+def test_duplicate_row_draws_keep_rank_k_core():
+    # The c = r = 220 draws from 800 rows repeat 32 rows, so R is exactly
+    # rank-deficient and U comes from the least-squares fallback of
+    # linalg.apply_right_pinv.  With machine epsilon as its rank cutoff it
+    # kept a rounding-error direction here: max|U| reached 8.6e8 and U had
+    # numerical rank 1.  (The cli-roundtrip benchmark instance at seed 0.)
+    a = lowrank_noise(800, 800, 5, 0.02, np.random.default_rng([0, 0]))
+    cfg = cur.CurConfig(k=5, epsilon=0.2, variant="linear",
+                        fidelity="heuristic")
+    dec = cur.decompose(a, cfg, np.random.default_rng(1915600865))
+    assert len(set(dec.row_indices.tolist())) < dec.R.shape[0]
+    rep = cur.evaluate(a, dec)
+    assert rep.rank_u == cfg.k
+    assert rep.ratio >= 1.0 - 1e-12
+    assert rep.ratio <= 1.0 + 20.0 * cfg.epsilon
+    assert np.abs(dec.U).max() <= 1e-2

@@ -76,6 +76,25 @@ def test_comments_skipped(tmp_path):
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", 3),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n", 3),
     ("%%MatrixMarket matrix array real general\n2 2\n1\nbad\n", 4),
+    ("%%MatrixMarket matrix array real general\n2 2\n1\n\n3\n4\n", 4),
+    ("%%MatrixMarket matrix array real general\n2 2\n1\n1.5 2\n3\n4\n", 4),
+    ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n", 5),
+    ("%%MatrixMarket matrix array real general\n2 2\nx\n2\n", 3),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.0 1 1.0\n", 3),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1\n1 1 1\n", 3),
+    ("%%MatrixMarket matrix coordinate real general\n3 3 5\n1 1 1.0\n", 4),
+    # the first bad line wins, whatever is wrong with it
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n3 1 1\n1 x 1\n", 3),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 x 1\n3 1 1\n", 3),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n"
+     "99999999999999999999999 1 1.0\n", 3),
+    # size lines: a symmetric matrix is square, no size is negative
+    ("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n4\n5\n6\n", 2),
+    ("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", 2),
+    ("%%MatrixMarket matrix array real general\n-1 2\n", 2),
+    ("%%MatrixMarket matrix array real general\n% c\n2 -2\n", 3),
+    ("%%MatrixMarket matrix coordinate real general\n-2 2 0\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", 2),
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     path = tmp_path / "bad.mtx"
@@ -91,6 +110,98 @@ def test_truncated_coordinate_file(tmp_path):
                     "3 3 5\n1 1 1.0\n")
     with pytest.raises(mmio.MatrixMarketError):
         mmio.read_matrix(path)
+
+
+# doubles whose %.17g text is easy to get wrong: negative zero, the smallest
+# subnormal, the smallest normal, the largest double, an integer, inexact
+# decimals
+GOLDEN = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+          3.0, 0.1, 1.0 / 3.0]
+GOLDEN_TEXT = ["-0", "4.9406564584124654e-324", "2.2250738585072014e-308",
+               "1.7976931348623157e+308", "3", "0.10000000000000001",
+               "0.33333333333333331"]
+
+
+def test_write_array_golden_bytes(tmp_path):
+    a = np.array(GOLDEN + [-1.5]).reshape(2, 4).T  # column j holds 4j..4j+3
+    path = tmp_path / "g.mtx"
+    mmio.write_matrix(path, a)
+    assert path.read_bytes() == (
+        "%%MatrixMarket matrix array real general\n4 2\n"
+        + "".join(t + "\n" for t in GOLDEN_TEXT + ["-1.5"])).encode()
+    back = np.asarray(mmio.read_matrix(path))
+    assert np.array_equal(back.view(np.int64), a.view(np.int64))
+
+
+def test_write_coordinate_golden_bytes(tmp_path):
+    rows = [0, 0, 1, 1, 2, 2, 2]
+    cols = [0, 2, 1, 2, 0, 1, 2]
+    a = scipy.sparse.csr_matrix((GOLDEN, (rows, cols)), shape=(3, 3))
+    path = tmp_path / "g.mtx"
+    mmio.write_matrix(path, a)
+    assert path.read_bytes() == (
+        "%%MatrixMarket matrix coordinate real general\n3 3 7\n"
+        + "".join("%d %d %s\n" % (i + 1, j + 1, t)
+                  for i, j, t in zip(rows, cols, GOLDEN_TEXT))).encode()
+    back = mmio.read_matrix(path).csr
+    # the stored -0.0 is an explicit zero, which SparseMatrix drops
+    assert np.array_equal(back.data.view(np.int64),
+                          np.array(GOLDEN[1:]).view(np.int64))
+    assert np.array_equal(back.indices, cols[1:])
+
+
+@pytest.mark.parametrize("shape", [(300, 500), (70001, 2)])
+def test_write_array_in_chunks_matches_one_line_per_value(tmp_path, shape):
+    # more values than one formatting chunk: several chunks of whole columns,
+    # and columns taller than a chunk
+    a = np.random.default_rng(5).standard_normal(shape)
+    path = tmp_path / "big.mtx"
+    mmio.write_matrix(path, a)
+    body = path.read_text().splitlines()[2:]
+    assert body == ["%.17g" % v for v in a.T.ravel()]
+
+
+def test_reader_parses_values_as_float_does(tmp_path):
+    rng = np.random.default_rng(6)
+    x = (rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)).tolist()
+    texts = ([repr(v) for v in x[:100]] + ["%.17g" % v for v in x[100:200]]
+             + ["%.5e" % v for v in x[200:300]] + ["%.0f" % v for v in x[300:]])
+    path = tmp_path / "a.mtx"
+    path.write_text("%%%%MatrixMarket matrix array real general\n400 1\n%s\n"
+                    % "\n".join(texts))
+    back = np.asarray(mmio.read_matrix(path)).ravel()
+    expected = np.array([float(t) for t in texts])
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+def test_reader_accepts_what_float_accepts(tmp_path):
+    path = tmp_path / "a.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n"
+                    "1 3\n1_0\n 2.5 \n\t-0.0\t\n")
+    back = np.asarray(mmio.read_matrix(path))
+    assert np.array_equal(back, [[10.0, 2.5, 0.0]])
+    assert np.signbit(back[0, 2])
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n+1 2 1_0\n 2  1   2.5 \n")
+    assert np.array_equal(mmio.read_matrix(path).csr.toarray(),
+                          [[0.0, 10.0], [2.5, 0.0]])
+
+
+def test_symmetric_array_fills_both_triangles(tmp_path):
+    path = tmp_path / "s.mtx"
+    path.write_text("%%MatrixMarket matrix array real symmetric\n"
+                    "3 3\n1\n-0.0\n2\n3\n4\n5\n")
+    back = np.asarray(mmio.read_matrix(path))
+    assert np.array_equal(back, [[1, 0, 2], [0, 3, 4], [2, 4, 5]])
+    assert np.signbit(back[1, 0]) and np.signbit(back[0, 1])
+
+
+def test_symmetric_coordinate_keeps_duplicate_sum_order(tmp_path):
+    path = tmp_path / "s.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "2 2 3\n2 1 0.1\n1 2 0.2\n2 1 0.3\n")
+    back = mmio.read_matrix(path).csr.toarray()
+    assert back[1, 0] == back[0, 1] == (0.1 + 0.2) + 0.3
 
 
 # ---------------------------------------------------------------------------

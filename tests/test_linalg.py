@@ -7,6 +7,7 @@ sums, multiply-back reconstruction) rather than against each other.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
@@ -111,6 +112,29 @@ def test_svd_trims_to_numerical_rank(rng):
     a = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
     assert linalg.svd(a).rank == 3
     assert linalg.svd(np.zeros((4, 4))).rank == 0
+
+
+@pytest.mark.parametrize("shape,rank", [((30, 20), 20), ((20, 30), 4),
+                                        ((25, 25), 0), ((0, 5), 0)])
+def test_singular_values_match_numpy(rng, shape, rank):
+    a = (rng.standard_normal((shape[0], rank))
+         @ rng.standard_normal((rank, shape[1])))
+    s = linalg.singular_values(a)
+    expected = np.linalg.svd(a, compute_uv=False)
+    assert s.shape == expected.shape
+    assert np.allclose(s, expected, rtol=0.0,
+                       atol=1e-12 * max(expected.max(initial=0.0), 1.0))
+    # the values-only path applies the same rank rule as the trimmed SVD
+    assert linalg.svd(a).rank == rank == linalg.numerical_rank(a)
+
+
+def test_singular_values_failure_is_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
+    with pytest.raises(linalg.NumericalError):
+        linalg.singular_values(np.eye(3))
 
 
 def test_reconstruction_residual_medium(rng):
@@ -274,6 +298,35 @@ def test_numerical_rank_small_and_probed(rng):
     assert linalg.numerical_rank(a) == 3
     assert linalg.numerical_rank(np.zeros((100, 100))) == 0
     assert linalg.numerical_rank(rng.standard_normal((6, 5))) == 5
+
+
+@pytest.mark.parametrize("seed", [3, 5, 9, 10])
+def test_apply_right_pinv_duplicate_rows_matches_pinv(seed):
+    # an exactly repeated row makes R rank-deficient; the least-squares
+    # fallback must cut at the library's rank tolerance, not at machine
+    # epsilon, or it keeps a rounding-error direction and blows up
+    rng = np.random.default_rng(seed)
+    r0 = rng.standard_normal((6, 20))
+    r = np.vstack([r0, r0[rng.integers(0, 6, 2)]])
+    g = rng.standard_normal((3, 20))
+    direct = g @ np.linalg.pinv(r)
+    got = linalg.apply_right_pinv(g, r)
+    assert np.abs(got - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_rank_helpers_use_values_only_svd(rng, monkeypatch):
+    a = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 150))
+    small = rng.standard_normal((6, 5))
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("singular vectors are not needed")
+
+    monkeypatch.setattr(linalg, "svd", no_vectors)
+    assert linalg.numerical_rank(a) == 3
+    assert linalg.numerical_rank(np.zeros((100, 100))) == 0
+    assert linalg.numerical_rank(small) == 5
+    assert linalg.spectral_norm(small) == pytest.approx(
+        np.linalg.norm(small, 2), rel=1e-12)
 
 
 def test_solve_upper_rank_aware(rng):
