@@ -25,7 +25,19 @@ class FactorZ:
 
 
 def _top_right_singvecs(p, k):
-    """Top-k right singular vectors of a dense matrix, always k columns."""
+    """Top-k right singular vectors of a dense matrix, always k columns.
+
+    Past 400 rows and columns only k eigenvectors of the smaller Gram matrix
+    are formed, where an SVD forms them all: the top eigenvectors of P^T P
+    are the vectors themselves, and those U of P P^T span them as P^T U.
+    """
+    m, n = p.shape
+    if min(m, n) > 400:
+        if n <= m:
+            v = scipy.linalg.eigh(p.T @ p, subset_by_index=[n - k, n - 1])[1]
+            return v[:, ::-1].copy()
+        u = scipy.linalg.eigh(p @ p.T, subset_by_index=[m - k, m - 1])[1]
+        return scipy.linalg.qr(p.T @ u[:, ::-1], mode="economic")[0]
     _, _, vt = scipy.linalg.svd(p, full_matrices=False)
     if vt.shape[0] < k:
         raise linalg.NumericalError("projected matrix thinner than k")

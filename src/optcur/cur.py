@@ -216,7 +216,7 @@ def _side(a, z, slots, h, r1, r2, rng, retries, diag):
 
     The first stage compresses to r1 weighted columns, drawing again while it
     reports a rank loss; adaptive sampling then adds r2 raw columns.  Returns
-    the indices, their scales and the scaled columns.
+    the indices, their scales and the scaled first-stage columns.
     """
     az = _matmul(a, z)
     for _ in range(retries + 1):
@@ -228,10 +228,24 @@ def _side(a, z, slots, h, r1, r2, rng, retries, diag):
         raise NumericalError("leverage-sampled factor lost rank repeatedly")
     scaled, idx, scales = stage
     extra = slots.adapt(a, z, scaled, r2, rng)
-    scaled = np.hstack([scaled, _cols(a, extra)])
-    audit.note_dense(scaled.size)
     return (np.concatenate([idx, extra]),
             np.concatenate([scales, np.ones(len(extra))]), scaled)
+
+
+def _distinct(idx, scales):
+    """Collapse repeated draws: the distinct indices, each draw's position
+    among them, and the weights w_j = s_j^2 / (sum of s^2 over the draws of
+    the same index).
+
+    The draws of one index are scaled copies s_j a of one raw column a, so
+    the scaled columns are C~ S^T, with C~ the distinct raw columns and S
+    holding s_j at (j, index of draw j).  The minimum-norm inverse of S^T is
+    S (S^T S)^-1, which sends row l of a core for C~ to each draw j of
+    index l with factor s_j / sum s^2; folding the draw's own scale s_j
+    into U leaves the factor w_j."""
+    uniq, pos = np.unique(idx, return_inverse=True)
+    sq = scales * scales
+    return uniq, pos, sq / np.bincount(pos, weights=sq)[pos]
 
 
 @contextlib.contextmanager
@@ -259,64 +273,71 @@ def _pipeline(a, cfg, rng, variant):
     with _timed(diag, "approx_svd"):
         z1 = slots.factor(a, k, rng)
     with _timed(diag, "columns"):
-        col_idx, col_scales, c_scaled = _side(
+        col_idx, col_scales, c1_scaled = _side(
             a, z1, slots, cfg.h1_val, cfg.c1_val, cfg.c2_val, rng,
             cfg.retries, diag)
-        diag["c1_residual_sq"] = _proj_residual_sq(a, c_scaled[:, :cfg.c1_val])
+        diag["c1_residual_sq"] = _proj_residual_sq(a, c1_scaled)
 
+    # Repeated draws add no direction: the core Z2 and the intersection are
+    # computed on the distinct raw columns and rows, so no factorization
+    # sees the exact rank loss that repeats cause.
     with _timed(diag, "subspace"):
+        cols, col_pos, col_w = _distinct(col_idx, col_scales)
+        diag["distinct_cols"] = int(cols.size)
+        c_raw = _cols(a, cols)
         if slots.sketched:
-            sf = subspace.approx_subspace_svd(a, c_scaled, k, cfg.epsilon, rng)
+            sf = subspace.approx_subspace_svd(a, c_raw, k, cfg.epsilon, rng)
             if not sf.sketched:
                 diag["sketch_caps"].append("subspace_svd_exact")
         else:
-            sf = subspace.best_subspace_svd(a, c_scaled, k)
+            sf = subspace.best_subspace_svd(a, c_raw, k)
         f = linalg.qr(sf.Y @ sf.Delta)
         z2, dtri = f.Q, f.R_tri
 
     with _timed(diag, "rows"):
-        row_idx, row_scales, r_scaled = _side(
+        row_idx, row_scales, _ = _side(
             a.T, z2, slots, cfg.h2_val, cfg.r1_val, cfg.r2_val, rng,
             cfg.retries, diag)
-        r_scaled = r_scaled.T
+        rows, row_pos, row_w = _distinct(row_idx, row_scales)
+        diag["distinct_rows"] = int(rows.size)
+        r_raw = _cols(a.T, rows).T
 
     # the intersection matrix: exact, or a sketched regression when the
     # prescribed sketch width compresses the row dimension
     with _timed(diag, "intersection"):
         if slots.sketched and cfg.xi_u_val < m:
-            u_scaled = _sketched_u(a, sf, dtri, c_scaled, r_scaled,
-                                   cfg.xi_u_val, rng)
+            u_raw = _sketched_u(a, sf, dtri, c_raw, r_raw, cfg.xi_u_val, rng)
         else:
             if slots.sketched:
                 diag["sketch_caps"].append("u_regression_exact")
-            u_scaled = _exact_u(a, sf, dtri, z2, r_scaled)
-        # fold the sampling scale factors into U so C and R stay raw
-        u = col_scales[:, None] * u_scaled * row_scales[None, :]
+            u_raw = _exact_u(a, sf, dtri, z2, r_raw)
+        # spread each entry over the draws of its column and row, with the
+        # sampling scale factors folded in, so C and R stay raw
+        u = col_w[:, None] * u_raw[np.ix_(col_pos, row_pos)] * row_w[None, :]
 
     return CurDecomposition(
         col_indices=col_idx, col_scales=col_scales,
         row_indices=row_idx, row_scales=row_scales,
-        C=_cols(a, col_idx), U=u, R=_cols(a.T, row_idx).T, k=k,
-        diagnostics=diag)
+        C=c_raw[:, col_pos], U=u, R=r_raw[row_pos], k=k, diagnostics=diag)
 
 
-def _exact_u(a, sf, dtri, z2, r_scaled):
+def _exact_u(a, sf, dtri, z2, r):
     """U = Psi^-1 Delta D^-1 (Z2^T A R^+), rank-aware in Psi."""
-    g_rpinv = linalg.apply_right_pinv(_matmul(z2.T, a), r_scaled)
+    g_rpinv = linalg.apply_right_pinv(_matmul(z2.T, a), r)
     core = scipy.linalg.solve_triangular(dtri, g_rpinv, lower=False)
     return linalg.solve_upper_rank_aware(sf.Psi, sf.Delta @ core)
 
 
-def _sketched_u(a, sf, dtri, c_scaled, r_scaled, xi_u, rng):
+def _sketched_u(a, sf, dtri, c, r, xi_u, rng):
     """U from the CountSketch regression min_Y ||W (C M Y R - A)||, where
     M = Psi^-1 Delta D^-1 is the map sending C to Z2 (C @ M = Z2)."""
     w = make_sse(a.shape[0], xi_u, rng)
     core = scipy.linalg.solve_triangular(dtri.T, sf.Delta.T, lower=True).T
     core = linalg.solve_upper_rank_aware(sf.Psi, core)
-    wc_core = apply_sse(w, c_scaled) @ core
+    wc_core = apply_sse(w, c) @ core
     wa = apply_sse(w, a)
     audit.note_dense(wa.size)
-    y_opt = linalg.pinv(wc_core) @ linalg.apply_right_pinv(wa, r_scaled)
+    y_opt = linalg.pinv(wc_core) @ linalg.apply_right_pinv(wa, r)
     return core @ y_opt
 
 

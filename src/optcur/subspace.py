@@ -46,9 +46,10 @@ def _top_left_singvecs(xi, k):
     """Top-k left singular vectors; Gram-trick for wide/fat tall cases."""
     c = xi.shape[0]
     if c > 400 and xi.shape[1] > c:
-        # eigh of the c x c Gram is much cheaper than svd of the c x n matrix
-        lam, q = scipy.linalg.eigh(xi @ xi.T)
-        return q[:, ::-1][:, :k].copy()
+        # the top k eigenvectors of the c x c Gram are much cheaper than the
+        # svd of the c x n matrix
+        q = scipy.linalg.eigh(xi @ xi.T, subset_by_index=[c - k, c - 1])[1]
+        return q[:, ::-1].copy()
     u, _, _ = scipy.linalg.svd(xi, full_matrices=False)
     if u.shape[1] < k:
         raise linalg.NumericalError("coefficient matrix thinner than k")

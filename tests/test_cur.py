@@ -153,6 +153,37 @@ def test_linear_cur_identity():
     assert np.allclose(cur_mat, projected, atol=1e-8)
 
 
+@pytest.mark.parametrize("variant", ["linear", "sparse"])
+def test_repeated_draws_share_one_core_entry(variant, monkeypatch):
+    # 40 column draws of 50 repeat some columns: the subspace step sees each
+    # distinct column once, and the draws of one index split its row of U
+    # in proportion to their squared scales
+    a = lowrank_noise(60, 50, 3, 0.3, np.random.default_rng(113))
+    if variant == "sparse":
+        a = scipy.sparse.csr_matrix(a)
+    cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
+                        fidelity="heuristic")
+    widths = []
+    for name in ("best_subspace_svd", "approx_subspace_svd"):
+        real = getattr(cur.subspace, name)
+        monkeypatch.setattr(
+            cur.subspace, name,
+            lambda a, v, *rest, real=real: widths.append(v.shape[1])
+            or real(a, v, *rest))
+    dec = cur.decompose(a, cfg, np.random.default_rng(2))
+    cols = np.unique(dec.col_indices)
+    assert cols.size < dec.C.shape[1]
+    assert widths == [cols.size]
+    for j in cols:
+        draws = np.flatnonzero(dec.col_indices == j)
+        sq = dec.col_scales[draws] ** 2
+        share = sq / np.sum(sq)
+        np.testing.assert_allclose(
+            dec.U[draws], share[:, None] * dec.U[draws].sum(axis=0),
+            rtol=1e-12, atol=1e-15 * np.abs(dec.U).max())
+    assert reconstructible(a, dec)
+
+
 def test_linear_c1_component_bound_monte_carlo():
     # first-stage residual <= 1620 * opt in >= 60/100 seeds
     rng0 = np.random.default_rng(127)
@@ -337,8 +368,8 @@ def test_top_sigma_sq_matches_singular_values(kind, rank, monkeypatch):
 
 def test_duplicate_row_draws_keep_rank_k_core():
     # The c = r = 220 draws from 800 rows repeat 32 rows, so R is exactly
-    # rank-deficient and U comes from the least-squares fallback of
-    # linalg.apply_right_pinv.  With machine epsilon as its rank cutoff it
+    # rank-deficient.  When U came from the least-squares fallback of
+    # linalg.apply_right_pinv with machine epsilon as its rank cutoff, it
     # kept a rounding-error direction here: max|U| reached 8.6e8 and U had
     # numerical rank 1.  (The cli-roundtrip benchmark instance at seed 0.)
     a = lowrank_noise(800, 800, 5, 0.02, np.random.default_rng([0, 0]))
