@@ -15,33 +15,13 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from . import linalg
-from .linalg import _matmul, as_sparse
+from .linalg import _matmul, _top_right_singvecs, as_sparse
 from .sketch import make_sse, apply_sse, make_sign_sketch
 
 
 @dataclass(frozen=True)
 class FactorZ:
     Z: np.ndarray  # n x k, orthonormal columns
-
-
-def _top_right_singvecs(p, k):
-    """Top-k right singular vectors of a dense matrix, always k columns.
-
-    Past 400 rows and columns only k eigenvectors of the smaller Gram matrix
-    are formed, where an SVD forms them all: the top eigenvectors of P^T P
-    are the vectors themselves, and those U of P P^T span them as P^T U.
-    """
-    m, n = p.shape
-    if min(m, n) > 400:
-        if n <= m:
-            v = scipy.linalg.eigh(p.T @ p, subset_by_index=[n - k, n - 1])[1]
-            return v[:, ::-1].copy()
-        u = scipy.linalg.eigh(p @ p.T, subset_by_index=[m - k, m - 1])[1]
-        return scipy.linalg.qr(p.T @ u[:, ::-1], mode="economic")[0]
-    _, _, vt = scipy.linalg.svd(p, full_matrices=False)
-    if vt.shape[0] < k:
-        raise linalg.NumericalError("projected matrix thinner than k")
-    return vt[:k].T.copy()
 
 
 def deterministic_svd(a, k, eps):
@@ -57,8 +37,8 @@ def randomized_svd(a, k, eps, rng):
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     m, n = np.shape(a)
-    if not 2 <= k < min(m, n):
-        raise ValueError("need 2 <= k < min(m, n)")
+    if not 1 <= k < min(m, n):
+        raise ValueError("need 1 <= k < min(m, n)")
     p = k + int(np.ceil(k / eps))
     p = min(p, n)
     s = make_sign_sketch(p, n, rng, scaled=False)
@@ -78,8 +58,8 @@ def sparse_svd(a, k, eps, rng):
         raise ValueError("eps must be in (0, 1]")
     csr = as_sparse(a)
     m, n = csr.shape
-    if not 2 <= k < min(m, n):
-        raise ValueError("need 2 <= k < min(m, n)")
+    if not 1 <= k < min(m, n):
+        raise ValueError("need 1 <= k < min(m, n)")
     xi = int(np.ceil(40.0 * (k * k + k) / (eps * eps)))
     if xi >= m:
         _, s, vt = scipy.sparse.linalg.svds(

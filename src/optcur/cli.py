@@ -64,9 +64,9 @@ def cmd_decompose(args):
     cfg = cur.CurConfig(k=args.rank, epsilon=args.epsilon,
                         variant=args.variant, seed=args.seed,
                         fidelity=args.fidelity)
-    t0 = time.time()
+    t0 = time.perf_counter()
     dec, rep, used_seed = _run_decompose(mat, cfg, max(args.trials, 1))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -145,12 +145,12 @@ def cmd_bench(args):
                             variant=entry.get("variant", "linear"),
                             seed=entry.get("seed", 0),
                             fidelity=entry.get("fidelity", "heuristic"))
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             dec, rep, seed = _run_decompose(mat, cfg, entry.get("trials", 1))
             print(json.dumps(_json_safe({
                 "input": entry["input"], "variant": cfg.variant,
-                "seed": seed, "seconds": time.time() - t0,
+                "seed": seed, "seconds": time.perf_counter() - t0,
                 **rep.as_dict()})))
         except NumericalError as exc:
             failures += 1

@@ -156,7 +156,7 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     msmall = pair.pick_rows(z).T  # k x h
     k = z.shape[1]
     _, s, vt = scipy.linalg.svd(msmall, full_matrices=False)
-    if s.size < k or s[k - 1] <= max(msmall.shape) * s[0] * linalg.RANK_RTOL:
+    if linalg._rank(s, msmall.shape) < k:
         return None
     v_m = vt[:k].T  # right singular vectors of the sampled leverage matrix
     pick = _cols(a, pair.indices) * pair.scales
@@ -250,9 +250,9 @@ def _distinct(idx, scales):
 
 @contextlib.contextmanager
 def _timed(diag, stage):
-    t0 = time.time()
+    t0 = time.perf_counter()
     yield
-    diag["stage_seconds"][stage] = time.time() - t0
+    diag["stage_seconds"][stage] = time.perf_counter() - t0
 
 
 def _pipeline(a, cfg, rng, variant):
@@ -291,8 +291,7 @@ def _pipeline(a, cfg, rng, variant):
                 diag["sketch_caps"].append("subspace_svd_exact")
         else:
             sf = subspace.best_subspace_svd(a, c_raw, k)
-        f = linalg.qr(sf.Y @ sf.Delta)
-        z2, dtri = f.Q, f.R_tri
+        z2 = sf.Y @ sf.Delta  # orthonormal, and C~ M = Z2
 
     with _timed(diag, "rows"):
         row_idx, row_scales, _ = _side(
@@ -302,15 +301,15 @@ def _pipeline(a, cfg, rng, variant):
         diag["distinct_rows"] = int(rows.size)
         r_raw = _cols(a.T, rows).T
 
-    # the intersection matrix: exact, or a sketched regression when the
-    # prescribed sketch width compresses the row dimension
+    # the intersection matrix: exact, M (Z2^T A) R^+, or a sketched
+    # regression when the prescribed sketch width compresses the row dimension
     with _timed(diag, "intersection"):
         if slots.sketched and cfg.xi_u_val < m:
-            u_raw = _sketched_u(a, sf, dtri, c_raw, r_raw, cfg.xi_u_val, rng)
+            u_raw = _sketched_u(a, sf.M, c_raw, r_raw, cfg.xi_u_val, rng)
         else:
             if slots.sketched:
                 diag["sketch_caps"].append("u_regression_exact")
-            u_raw = _exact_u(a, sf, dtri, z2, r_raw)
+            u_raw = sf.M @ linalg.apply_right_pinv(_matmul(z2.T, a), r_raw)
         # spread each entry over the draws of its column and row, with the
         # sampling scale factors folded in, so C and R stay raw
         u = col_w[:, None] * u_raw[np.ix_(col_pos, row_pos)] * row_w[None, :]
@@ -321,19 +320,10 @@ def _pipeline(a, cfg, rng, variant):
         C=c_raw[:, col_pos], U=u, R=r_raw[row_pos], k=k, diagnostics=diag)
 
 
-def _exact_u(a, sf, dtri, z2, r):
-    """U = Psi^-1 Delta D^-1 (Z2^T A R^+), rank-aware in Psi."""
-    g_rpinv = linalg.apply_right_pinv(_matmul(z2.T, a), r)
-    core = scipy.linalg.solve_triangular(dtri, g_rpinv, lower=False)
-    return linalg.solve_upper_rank_aware(sf.Psi, sf.Delta @ core)
-
-
-def _sketched_u(a, sf, dtri, c, r, xi_u, rng):
+def _sketched_u(a, core, c, r, xi_u, rng):
     """U from the CountSketch regression min_Y ||W (C M Y R - A)||, where
-    M = Psi^-1 Delta D^-1 is the map sending C to Z2 (C @ M = Z2)."""
+    M = core is the map sending C to Z2 (C @ M = Z2)."""
     w = make_sse(a.shape[0], xi_u, rng)
-    core = scipy.linalg.solve_triangular(dtri.T, sf.Delta.T, lower=True).T
-    core = linalg.solve_upper_rank_aware(sf.Psi, core)
     wc_core = apply_sse(w, c) @ core
     wa = apply_sse(w, a)
     audit.note_dense(wa.size)

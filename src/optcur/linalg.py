@@ -211,6 +211,26 @@ def svd(a):
     return SvdFactorization(u[:, :rho].copy(), s[:rho].copy(), vt[:rho].T.copy())
 
 
+def _top_right_singvecs(p, k):
+    """Top-k right singular vectors of a dense matrix, always k columns.
+
+    Past 400 rows and columns only k eigenvectors of the smaller Gram matrix
+    are formed, where an SVD forms them all: the top eigenvectors of P^T P
+    are the vectors themselves, and those U of P P^T span them as P^T U.
+    """
+    m, n = p.shape
+    if min(m, n) > 400:
+        if n <= m:
+            v = scipy.linalg.eigh(p.T @ p, subset_by_index=[n - k, n - 1])[1]
+            return v[:, ::-1].copy()
+        u = scipy.linalg.eigh(p @ p.T, subset_by_index=[m - k, m - 1])[1]
+        return scipy.linalg.qr(p.T @ u[:, ::-1], mode="economic")[0]
+    _, _, vt = scipy.linalg.svd(p, full_matrices=False)
+    if vt.shape[0] < k:
+        raise NumericalError("projected matrix thinner than k")
+    return vt[:k].T.copy()
+
+
 def truncate(f, k):
     """Best rank-k matrix from a factorization (exact A when k >= rank)."""
     if k < 1:
@@ -267,21 +287,11 @@ def row_space_projector_factor(r):
 
 
 def apply_right_pinv(g, r):
-    """G R^+ via one economy QR of R^T (triangular solve when R has full row
-    rank, SVD fallback otherwise)."""
+    """G R^+ via one economy QR of R^T: with R^T = Q T, G R^+ = (G Q) (T^+)^T."""
     g = np.asarray(g)
     r = np.asarray(r)
     q, t = scipy.linalg.qr(r.T, mode="economic")
-    d = np.abs(np.diag(t))
-    if d.size and d.min() > max(r.shape) * d.max() * RANK_RTOL:
-        # R = T^T Q^T with T invertible, so R^+ = Q T^-T
-        return scipy.linalg.solve_triangular(t, (g @ q).T, lower=False).T
-    # rank-deficient R: (R^T)^+ G^T is the minimum-norm least-squares
-    # solution, which gelsy computes via complete orthogonal factorization
-    # with the library's rank cutoff, not gelsy's default of machine epsilon
-    sol = scipy.linalg.lstsq(r.T, g.T, cond=max(r.shape) * RANK_RTOL,
-                             lapack_driver="gelsy")[0]
-    return sol.T
+    return solve_upper_rank_aware(t, (g @ q).T, scale=max(r.shape)).T
 
 
 def numerical_rank(a, probe=8, seed=12345):
@@ -305,41 +315,20 @@ def numerical_rank(a, probe=8, seed=12345):
     return _rank(singular_values(a), a.shape)
 
 
-def _pivoted_qr_rank(psi):
-    """Pivoted QR (q, t, perm) of the upper-triangular Psi and its numerical
-    rank, or None when the diagonal shows Psi is well conditioned."""
-    c = psi.shape[0]
-    d = np.abs(np.diag(psi))
-    if d.size == 0 or d.min() > c * d.max() * RANK_RTOL:
-        return None
-    q, t, perm = scipy.linalg.qr(psi, mode="economic", pivoting=True)
-    dt = np.abs(np.diag(t))
-    rho = int(np.count_nonzero(dt > c * (dt.max() if dt.size else 0.0)
-                               * RANK_RTOL))
-    return q, t, perm, rho
+def _full_rank_triangle(t, scale):
+    """Whether the diagonal of the triangular t shows full numerical rank:
+    every entry above scale * RANK_RTOL times the largest."""
+    d = np.abs(np.diag(t))
+    return d.size == 0 or d.min() > scale * d.max() * RANK_RTOL
 
 
-def solve_upper_rank_aware(psi, b):
+def solve_upper_rank_aware(psi, b, scale=None):
     """Minimum-norm X with Psi X = B for upper-triangular Psi, assuming B lies
-    in range(Psi).  Fast triangular solve when Psi is well conditioned;
-    rank-revealing pivoted QR otherwise."""
+    in range(Psi).  A triangular solve when the diagonal of Psi shows full
+    rank at the cutoff scale * RANK_RTOL (scale defaults to the order of
+    Psi); pinv(Psi) B otherwise."""
     psi = np.asarray(psi)
     b = np.asarray(b)
-    fact = _pivoted_qr_rank(psi)
-    if fact is None:
+    if _full_rank_triangle(psi, psi.shape[0] if scale is None else scale):
         return scipy.linalg.solve_triangular(psi, b, lower=False)
-    q, t, perm, rho = fact
-    x = np.zeros((psi.shape[0],) + b.shape[1:])
-    if rho:
-        x[perm[:rho]] = scipy.linalg.solve_triangular(
-            t[:rho, :rho], (q.T @ b)[:rho], lower=False)
-    return x
-
-
-def range_restrictor(psi):
-    """Orthonormal basis of range(Psi) when Psi is rank-deficient, else None."""
-    fact = _pivoted_qr_rank(np.asarray(psi))
-    if fact is None:
-        return None
-    q, _, _, rho = fact
-    return q[:, :rho]
+    return pinv(psi) @ b

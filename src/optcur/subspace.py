@@ -13,18 +13,20 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .linalg import _matmul, as_array
+from .linalg import _matmul, _top_right_singvecs, as_array
 from .sketch import make_sse, apply_sse_compressed
 
 
 @dataclass(frozen=True)
 class SubspaceFactor:
-    """(Y, Psi, Delta): V = Y Psi with Y orthonormal, Delta the top-k left
-    singular directions of the (possibly sketched) coefficients Y^T A."""
+    """(Y, Psi, Delta, M): V = Y Psi with Y orthonormal, Delta the top-k left
+    singular directions of the (possibly sketched) coefficients Y^T A, and M
+    the minimum-norm map with V M = Y Delta."""
 
-    Y: np.ndarray  # m x c, orthonormal columns
-    Psi: np.ndarray  # c x c, upper triangular
-    Delta: np.ndarray  # c x k, orthonormal columns
+    Y: np.ndarray  # m x p, orthonormal columns; p = c when V has full rank
+    Psi: np.ndarray  # p x c, upper triangular when V has full rank
+    Delta: np.ndarray  # p x k, orthonormal columns
+    M: np.ndarray  # c x k, pinv(V) Y Delta
     sketched: bool = False
 
     def project(self, a):
@@ -33,43 +35,37 @@ class SubspaceFactor:
         return b @ _matmul(b.T, a)
 
 
-def _restrict_to_range(psi, coeff):
-    """Project the coefficients onto range(Psi) when V was rank-deficient,
-    so the chosen directions stay inside span(V).  Identity otherwise."""
-    res = linalg.range_restrictor(psi)
-    if res is None:
-        return coeff
-    return res @ (res.T @ coeff)
+def _factor(a, v, k, top_k):
+    """The SubspaceFactor of V, with (Delta, sketched) = top_k(Y^T A).
 
-
-def _top_left_singvecs(xi, k):
-    """Top-k left singular vectors; Gram-trick for wide/fat tall cases."""
-    c = xi.shape[0]
-    if c > 400 and xi.shape[1] > c:
-        # the top k eigenvectors of the c x c Gram are much cheaper than the
-        # svd of the c x n matrix
-        q = scipy.linalg.eigh(xi @ xi.T, subset_by_index=[c - k, c - 1])[1]
-        return q[:, ::-1].copy()
-    u, _, _ = scipy.linalg.svd(xi, full_matrices=False)
-    if u.shape[1] < k:
-        raise linalg.NumericalError("coefficient matrix thinner than k")
-    return u[:, :k].copy()
-
-
-def _coefficients(a, v, k):
-    """QR of V, and the coefficients Y^T A restricted to range(Psi)."""
+    One economy QR V = Q T.  When the diagonal of T shows rank loss, one SVD
+    T = U S W^T of the c x c triangle narrows Y to Q U: its first rho columns
+    span V, further ones (up to k, only when rank(V) < k) get zero
+    coefficients, and M = W S^-1 Delta over the first rho.
+    """
     v = as_array(v)
-    if not 1 <= k < v.shape[1]:
+    c = v.shape[1]
+    if not 1 <= k < c:
         raise ValueError("need 1 <= k < c")
     f = linalg.qr(v)
-    return f, _restrict_to_range(f.R_tri, _matmul(f.Q.T, a))
+    if linalg._full_rank_triangle(f.R_tri, c):
+        delta, sketched = top_k(_matmul(f.Q.T, a))
+        m = scipy.linalg.solve_triangular(f.R_tri, delta, lower=False)
+        return SubspaceFactor(f.Q, f.R_tri, delta, m, sketched)
+    u, s, wt = linalg._lapack_svd(f.R_tri)
+    rho = linalg._rank(s, f.R_tri.shape)
+    p = max(rho, k)
+    y = f.Q @ u[:, :p]
+    xi = _matmul(y.T, a)
+    xi[rho:] = 0.0
+    delta, sketched = top_k(xi)
+    m = (wt[:rho].T / s[:rho]) @ delta[:rho]
+    return SubspaceFactor(y, s[:p, None] * wt[:p], delta, m, sketched)
 
 
 def best_subspace_svd(a, v, k):
     """Exact Pi^F_{V,k}: Y from QR of V, Delta from the rank-k SVD of Y^T A."""
-    f, xi = _coefficients(a, v, k)
-    return SubspaceFactor(Y=f.Q, Psi=f.R_tri, Delta=_top_left_singvecs(xi, k),
-                          sketched=False)
+    return _factor(a, v, k, lambda xi: (_top_right_singvecs(xi.T, k), False))
 
 
 def approx_subspace_svd(a, v, k, eps, rng):
@@ -81,16 +77,17 @@ def approx_subspace_svd(a, v, k, eps, rng):
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    f, coeff = _coefficients(a, v, k)
-    c = f.Q.shape[1]
+    c = np.shape(v)[1]
     n = np.shape(a)[1]
     xi_dim = int(np.ceil(40.0 * c * c / (eps * eps)))
-    sketched = xi_dim < n
-    if sketched:
+
+    def top_k(coeff):
+        if xi_dim >= n:
+            return _top_right_singvecs(coeff.T, k), False
         w = make_sse(n, xi_dim, rng)
-        coeff = apply_sse_compressed(w, coeff.T).T
-    delta = _top_left_singvecs(coeff, k)
-    return SubspaceFactor(Y=f.Q, Psi=f.R_tri, Delta=delta, sketched=sketched)
+        return _top_right_singvecs(apply_sse_compressed(w, coeff.T), k), True
+
+    return _factor(a, v, k, top_k)
 
 
 def rank_constrained_u(a, c, r, k):

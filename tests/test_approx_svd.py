@@ -96,7 +96,7 @@ def test_randomized_orthonormal_every_seed(rng):
 def test_randomized_rejects_bad_args(rng):
     a = rng.standard_normal((10, 8))
     with pytest.raises(ValueError):
-        randomized_svd(a, 1, 0.5, rng)  # k must be >= 2
+        randomized_svd(a, 0, 0.5, rng)  # k must be >= 1
     with pytest.raises(ValueError):
         randomized_svd(a, 8, 0.5, rng)
     with pytest.raises(ValueError):

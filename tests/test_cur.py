@@ -3,6 +3,7 @@ bounds at small scale, and evaluation reports."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from optcur import audit, cur, linalg
@@ -382,3 +383,49 @@ def test_duplicate_row_draws_keep_rank_k_core():
     assert rep.ratio >= 1.0 - 1e-12
     assert rep.ratio <= 1.0 + 20.0 * cfg.epsilon
     assert np.abs(dec.U).max() <= 1e-2
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("variant", ["linear", "sparse"])
+def test_rank_one_decomposition_meets_bound(variant, kind):
+    a = lowrank_noise(120, 100, 3, 0.2, np.random.default_rng(151))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    eps = 0.5
+    bound = {"linear": 1.0 + 20.0 * eps,
+             "sparse": (1.0 + eps) * (1.0 + 60.0 * eps)}[variant]
+    cfg = cur.CurConfig(k=1, epsilon=eps, variant=variant,
+                        fidelity="heuristic")
+    for seed in range(3):
+        dec = cur.decompose(x, cfg, np.random.default_rng(seed))
+        rep = cur.evaluate(x, dec)
+        assert 1.0 - 1e-12 <= rep.ratio <= bound
+        assert rep.rank_u <= 1
+        assert reconstructible(a, dec)
+
+
+def test_rank_deficient_triangles_factored_once(monkeypatch):
+    # An exactly rank-2 input makes both the QR triangle of the distinct
+    # columns and that of R^T singular.  Each such triangle may reach a
+    # factorization (SVD, QR, least squares) at most once per decompose.
+    a = (np.random.default_rng(157).standard_normal((80, 2))
+         @ np.random.default_rng(163).standard_normal((2, 70)))
+    seen = []
+
+    def counting(real):
+        def wrapper(x, *args, **kwargs):
+            x_arr = np.asarray(x)
+            if (x_arr.ndim == 2 and x_arr.shape[0] == x_arr.shape[1] > 1
+                    and np.array_equal(x_arr, np.triu(x_arr))):
+                seen.append(x_arr.tobytes())
+            return real(x, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "qr", "lstsq"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            counting(getattr(scipy.linalg, name)))
+    cfg = cur.CurConfig(k=2, epsilon=0.5, fidelity="heuristic")
+    dec = cur.decompose(a, cfg, np.random.default_rng(4))
+    assert seen
+    assert len(set(seen)) == len(seen)
+    monkeypatch.undo()
+    assert cur.evaluate(a, dec).exact

@@ -340,3 +340,12 @@ def test_solve_upper_rank_aware(rng):
     b_range = psi_sing @ rng.standard_normal((5, 3))
     x = linalg.solve_upper_rank_aware(psi_sing, b_range)
     assert np.allclose(psi_sing @ x, b_range, atol=1e-8)
+
+
+def test_solve_upper_rank_aware_singular_is_minimum_norm(rng):
+    psi = np.triu(rng.standard_normal((6, 6)))
+    psi[2, 2] = 0.0
+    psi[4] = 0.0
+    b = psi @ rng.standard_normal((6, 3))
+    x = linalg.solve_upper_rank_aware(psi, b)
+    assert np.allclose(x, np.linalg.pinv(psi) @ b, atol=1e-10)

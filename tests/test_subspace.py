@@ -172,3 +172,17 @@ def test_u_rejects_large_k(rng):
     a = rng.standard_normal((6, 6))
     with pytest.raises(ValueError):
         rank_constrained_u(a, a[:, :3], a[:2], 3)
+
+
+@pytest.mark.parametrize("n", [40, 2000])
+def test_core_map_is_minimum_norm_on_deficient_v(rng, n):
+    # duplicate and zero columns: M is the minimum-norm map with
+    # V M = Y Delta, for the exact and (at n = 2000) the sketched solver
+    a = lowrank_noise(25, n, 4, 0.3, rng)
+    v = np.hstack([a[:, :3], a[:, 1:2], np.zeros((25, 1)), a[:, :1]])
+    for sf in (best_subspace_svd(a, v, 2),
+               approx_subspace_svd(a, v, 2, 1.0, np.random.default_rng(1))):
+        target = sf.Y @ sf.Delta
+        assert np.allclose(v @ sf.M, target, atol=1e-10)
+        assert np.allclose(sf.M, np.linalg.pinv(v) @ target, atol=1e-10)
+    assert sf.sketched == (n == 2000)
