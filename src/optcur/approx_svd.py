@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from . import linalg
-from .linalg import _matmul, _top_right_singvecs, as_sparse
-from .sketch import make_sse, apply_sse, make_sign_sketch
+from .linalg import _matmul, _top_k, as_sparse
+from .sketch import make_sse, make_sign_sketch
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,10 @@ class FactorZ:
 
 def deterministic_svd(a, k, eps):
     """Z = top-k right singular vectors; deterministic, meets the bound with eps=0."""
-    f = linalg.svd(a)
-    if not 1 <= k < f.rank:
+    s, v = _top_k(a, k + 1, vectors=True)
+    if not 1 <= k < linalg._rank(s, np.shape(a)):
         raise ValueError("need 1 <= k < rank(A)")
-    return FactorZ(Z=f.V_A[:, :k].copy())
+    return FactorZ(Z=v[:, :k].copy())
 
 
 def randomized_svd(a, k, eps, rng):
@@ -43,17 +42,13 @@ def randomized_svd(a, k, eps, rng):
     p = min(p, n)
     s = make_sign_sketch(p, n, rng, scaled=False)
     q = scipy.linalg.qr(_matmul(a, s.S.T), mode="economic")[0]
-    return FactorZ(Z=_top_right_singvecs(_matmul(q.T, a), k))
+    return FactorZ(Z=_top_k(_matmul(q.T, a), k, vectors=True)[1])
 
 
 def sparse_svd(a, k, eps, rng):
-    """Top-k right singular directions of a CountSketch compression W A.
-
-    Runtime is one pass over nnz(A) plus dense work on the xi x n sketch.
-    When the prescribed xi would not compress (xi >= m) the sketch is skipped
-    and the exact directions are computed iteratively, still in nnz-bounded
-    passes.
-    """
+    """Top-k right singular directions of a CountSketch compression W A,
+    kept sparse: one pass over nnz(A), then ARPACK on the xi x n sketch.
+    When the prescribed xi would not compress (xi >= m), those of A."""
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     csr = as_sparse(a)
@@ -61,10 +56,6 @@ def sparse_svd(a, k, eps, rng):
     if not 1 <= k < min(m, n):
         raise ValueError("need 1 <= k < min(m, n)")
     xi = int(np.ceil(40.0 * (k * k + k) / (eps * eps)))
-    if xi >= m:
-        _, s, vt = scipy.sparse.linalg.svds(
-            csr, k=k, v0=rng.standard_normal(min(m, n)),
-            return_singular_vectors="vh")
-        return FactorZ(Z=vt[np.argsort(-s)].T.copy())
-    w = make_sse(m, xi, rng)
-    return FactorZ(Z=_top_right_singvecs(apply_sse(w, csr), k))
+    if xi < m:
+        csr = make_sse(m, xi, rng).as_csr() @ csr
+    return FactorZ(Z=_top_k(csr, k, vectors=True)[1])

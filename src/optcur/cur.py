@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from . import adaptive, audit, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
@@ -373,18 +372,8 @@ def decompose(a, cfg, rng=None):
 
 def top_sigma_sq(a, k):
     """Sum of the top-k squared singular values (sparse-aware)."""
-    if is_sparse(a):
-        csr = as_sparse(a)
-        if not csr.nnz:
-            return 0.0  # ARPACK fails on the zero matrix
-        if k < min(csr.shape) - 1:
-            # a fixed start vector, so every call returns the same bits
-            v0 = np.random.default_rng(0).standard_normal(min(csr.shape))
-            s = scipy.sparse.linalg.svds(csr, k=k, v0=v0,
-                                         return_singular_vectors=False)
-            return float(np.sum(s * s))
-        a = csr.toarray()
-    return float(np.sum(linalg.singular_values(a)[:k] ** 2))
+    s = linalg._top_k(a, k)
+    return float(np.sum(s * s))
 
 
 def optimal_residual_sq(a, k):

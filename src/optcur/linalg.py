@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import audit
 
@@ -211,24 +212,42 @@ def svd(a):
     return SvdFactorization(u[:, :rho].copy(), s[:rho].copy(), vt[:rho].T.copy())
 
 
-def _top_right_singvecs(p, k):
-    """Top-k right singular vectors of a dense matrix, always k columns.
+_DENSE_TOP_K = 400  # see _top_k
 
-    Past 400 rows and columns only k eigenvectors of the smaller Gram matrix
-    are formed, where an SVD forms them all: the top eigenvectors of P^T P
-    are the vectors themselves, and those U of P P^T span them as P^T U.
+
+def _top_k(a, k, vectors=False):
+    """The top-k singular values of A, descending; with vectors=True also the
+    matching right singular vectors, as the columns of an n x k array.
+
+    A is an ndarray, a scipy sparse matrix or a LinearOperator.  ARPACK
+    (svds with tol=0) runs from a start vector seeded with 0, so every call
+    gives the same bits.  One LAPACK SVD of A formed densely runs instead when
+    A is not sparse and has at most _DENSE_TOP_K rows or columns (there it
+    is cheaper), when k >= min(m, n) - 1, and when ARPACK fails.  An all-zero
+    ndarray or sparse A gives zeros and the first k unit vectors.
     """
-    m, n = p.shape
-    if min(m, n) > 400:
-        if n <= m:
-            v = scipy.linalg.eigh(p.T @ p, subset_by_index=[n - k, n - 1])[1]
-            return v[:, ::-1].copy()
-        u = scipy.linalg.eigh(p @ p.T, subset_by_index=[m - k, m - 1])[1]
-        return scipy.linalg.qr(p.T @ u[:, ::-1], mode="economic")[0]
-    _, _, vt = scipy.linalg.svd(p, full_matrices=False)
-    if vt.shape[0] < k:
-        raise NumericalError("projected matrix thinner than k")
-    return vt[:k].T.copy()
+    op = isinstance(a, scipy.sparse.linalg.LinearOperator)
+    if not op:
+        a = _operand(a)
+        if not (a.data if scipy.sparse.issparse(a) else a).any():
+            s = np.zeros(k)
+            return (s, np.eye(a.shape[1], k)) if vectors else s
+    if k < min(a.shape) - 1 and (scipy.sparse.issparse(a)
+                                 or min(a.shape) > _DENSE_TOP_K):
+        v0 = np.random.default_rng(0).standard_normal(min(a.shape))
+        try:
+            out = scipy.sparse.linalg.svds(
+                a, k=k, tol=0, v0=v0,
+                return_singular_vectors="vh" if vectors else False)
+        except scipy.sparse.linalg.ArpackError:  # and ArpackNoConvergence
+            pass  # the dense path below
+        else:
+            return (out[1][::-1], out[2][::-1].T.copy()) if vectors else out[::-1]
+    a = a.matmat(np.eye(a.shape[1])) if op else as_array(a)
+    if not vectors:
+        return _lapack_svd(a, compute_uv=False)[:k]
+    _, s, vt = _lapack_svd(a, full_matrices=False)
+    return s[:k], vt[:k].T.copy()
 
 
 def truncate(f, k):
@@ -262,17 +281,7 @@ def frobenius_sq(a):
 
 
 def spectral_norm(a):
-    a = _operand(a)
-    if scipy.sparse.issparse(a) and min(a.shape) > 2 and a.nnz:
-        try:
-            return float(scipy.sparse.linalg.svds(
-                a, k=1, return_singular_vectors=False)[0])
-        except Exception:
-            pass  # fall back to the dense SVD
-    a = as_array(a)
-    if a.size == 0 or not a.any():
-        return 0.0
-    return float(singular_values(a)[0])
+    return float(_top_k(a, 1)[0])
 
 
 def orthonormal_basis(a):

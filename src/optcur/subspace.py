@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import aslinearoperator
 
 from . import linalg
-from .linalg import _matmul, _top_right_singvecs, as_array
+from .linalg import _matmul, _operand, _top_k, as_array
 from .sketch import make_sse, apply_sse_compressed
 
 
@@ -35,13 +36,21 @@ class SubspaceFactor:
         return b @ _matmul(b.T, a)
 
 
+def _exact_delta(a, y, k):
+    """Delta = the top-k right singular vectors of A^T Y; past _DENSE_TOP_K
+    columns of Y from an operator, so that Y^T A is never formed."""
+    at_y = _matmul(y.T, a).T if y.shape[1] <= linalg._DENSE_TOP_K else (
+        aslinearoperator(_operand(a)).T @ aslinearoperator(y))
+    return _top_k(at_y, k, vectors=True)[1]
+
+
 def _factor(a, v, k, top_k):
-    """The SubspaceFactor of V, with (Delta, sketched) = top_k(Y^T A).
+    """The SubspaceFactor of V, with (Delta, sketched) = top_k(A, Y).
 
     One economy QR V = Q T.  When the diagonal of T shows rank loss, one SVD
     T = U S W^T of the c x c triangle narrows Y to Q U: its first rho columns
-    span V, further ones (up to k, only when rank(V) < k) get zero
-    coefficients, and M = W S^-1 Delta over the first rho.
+    span V, further ones (up to k, only when rank(V) < k) are zeroed for
+    top_k, so get zero coefficients, and M = W S^-1 Delta over the first rho.
     """
     v = as_array(v)
     c = v.shape[1]
@@ -49,23 +58,21 @@ def _factor(a, v, k, top_k):
         raise ValueError("need 1 <= k < c")
     f = linalg.qr(v)
     if linalg._full_rank_triangle(f.R_tri, c):
-        delta, sketched = top_k(_matmul(f.Q.T, a))
+        delta, sketched = top_k(a, f.Q)
         m = scipy.linalg.solve_triangular(f.R_tri, delta, lower=False)
         return SubspaceFactor(f.Q, f.R_tri, delta, m, sketched)
     u, s, wt = linalg._lapack_svd(f.R_tri)
     rho = linalg._rank(s, f.R_tri.shape)
     p = max(rho, k)
     y = f.Q @ u[:, :p]
-    xi = _matmul(y.T, a)
-    xi[rho:] = 0.0
-    delta, sketched = top_k(xi)
+    delta, sketched = top_k(a, y * (np.arange(p) < rho))
     m = (wt[:rho].T / s[:rho]) @ delta[:rho]
     return SubspaceFactor(y, s[:p, None] * wt[:p], delta, m, sketched)
 
 
 def best_subspace_svd(a, v, k):
     """Exact Pi^F_{V,k}: Y from QR of V, Delta from the rank-k SVD of Y^T A."""
-    return _factor(a, v, k, lambda xi: (_top_right_singvecs(xi.T, k), False))
+    return _factor(a, v, k, lambda a, y: (_exact_delta(a, y, k), False))
 
 
 def approx_subspace_svd(a, v, k, eps, rng):
@@ -81,11 +88,12 @@ def approx_subspace_svd(a, v, k, eps, rng):
     n = np.shape(a)[1]
     xi_dim = int(np.ceil(40.0 * c * c / (eps * eps)))
 
-    def top_k(coeff):
+    def top_k(a, y):
         if xi_dim >= n:
-            return _top_right_singvecs(coeff.T, k), False
+            return _exact_delta(a, y, k), False
         w = make_sse(n, xi_dim, rng)
-        return _top_right_singvecs(apply_sse_compressed(w, coeff.T), k), True
+        sketch = apply_sse_compressed(w, _matmul(y.T, a).T)
+        return _top_k(sketch, k, vectors=True)[1], True
 
     return _factor(a, v, k, top_k)
 

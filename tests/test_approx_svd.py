@@ -11,6 +11,7 @@ import scipy.sparse
 
 from optcur import linalg
 from optcur.approx_svd import deterministic_svd, randomized_svd, sparse_svd
+from optcur.sketch import make_sse
 
 from conftest import lowrank_noise
 
@@ -159,3 +160,15 @@ def test_residual_never_beats_svd(mode, rng):
         z = sparse_svd(scipy.sparse.csr_matrix(a), k, 0.5,
                        np.random.default_rng(7)).Z
     assert proj_residual_sq(a, z) >= opt_sq(a, k) - 1e-9
+
+
+def test_sparse_sketch_branch_matches_dense_sketch():
+    # the CountSketch product W A stays sparse; its top-k directions are
+    # those of the dense W A
+    a = scipy.sparse.random(2000, 500, density=0.01, random_state=9,
+                            format="csr")
+    k = 3
+    z = sparse_svd(a, k, 1.0, np.random.default_rng(5)).Z
+    w = make_sse(2000, 40 * (k * k + k), np.random.default_rng(5))
+    vt = np.linalg.svd((w.as_csr() @ a).toarray())[2]
+    assert np.allclose(z @ z.T, vt[:k].T @ vt[:k], atol=1e-10)

@@ -429,3 +429,68 @@ def test_rank_deficient_triangles_factored_once(monkeypatch):
     assert len(set(seen)) == len(seen)
     monkeypatch.undo()
     assert cur.evaluate(a, dec).exact
+
+
+def _spectrum_instance(m, n, sigma, rng):
+    """U diag(sigma) V^T with random orthonormal U and V."""
+    u = np.linalg.qr(rng.standard_normal((m, len(sigma))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(sigma))))[0]
+    return (u * sigma) @ v.T
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("case", ["noisy", "clustered", "rank_below_k",
+                                  "rank_0"])
+def test_optimal_residual_sq_matches_gesdd(case, kind):
+    # above 400 rows and columns the dense input takes the ARPACK path too;
+    # ||A||^2 - sum sigma_i^2 cancels about 1e-16 of ||A||^2 either way
+    rng = np.random.default_rng(71)
+    m, n, k = 460, 430, 3
+    if case == "noisy":
+        a = lowrank_noise(m, n, 5, 0.05, rng)
+    elif case == "clustered":  # sigma_3 = sigma_4 = sigma_5
+        a = _spectrum_instance(m, n, [9.0, 6.0, 2.0, 2.0, 2.0, 0.5], rng)
+    elif case == "rank_below_k":
+        a = _spectrum_instance(m, n, [4.0, 1.0], rng)
+    else:
+        a = np.zeros((m, n))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    sigma = scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesdd")
+    expected = float(np.sum(sigma[k:] ** 2))
+    got = cur.optimal_residual_sq(x, k)
+    assert abs(got - expected) <= 1e-12 * max(np.sum(a * a), 1e-300)
+    assert got >= 0.0
+
+
+def test_evaluate_skips_full_spectrum_of_a(monkeypatch):
+    a = lowrank_noise(500, 500, 4, 0.05, np.random.default_rng(73))
+    cfg = cur.CurConfig(k=2, epsilon=1.0, fidelity="heuristic")
+    dec = cur.decompose(a, cfg, np.random.default_rng(0))
+    shapes = []
+
+    def recording(real):
+        def wrapper(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real(x, *args, **kwargs)
+        return wrapper
+
+    for name in ("singular_values", "_lapack_svd"):
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
+    rep = cur.evaluate(a, dec)
+    assert a.shape not in shapes
+    monkeypatch.undo()
+    assert rep.opt_sq == pytest.approx(
+        np.sum(np.linalg.svd(a, compute_uv=False)[2:] ** 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_sparse_variant_on_all_zero_input_is_exact(kind):
+    a = np.zeros((80, 60))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    cfg = cur.CurConfig(k=2, epsilon=0.5, variant="sparse",
+                        fidelity="heuristic")
+    dec = cur.decompose(x, cfg, np.random.default_rng(0))
+    rep = cur.evaluate(x, dec)
+    assert rep.exact and rep.ratio == 0.0
+    assert np.all(np.isfinite(dec.U))
+    assert reconstructible(a, dec)

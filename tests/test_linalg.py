@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from optcur import linalg
@@ -349,3 +350,67 @@ def test_solve_upper_rank_aware_singular_is_minimum_norm(rng):
     b = psi @ rng.standard_normal((6, 3))
     x = linalg.solve_upper_rank_aware(psi, b)
     assert np.allclose(x, np.linalg.pinv(psi) @ b, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the top-k helper
+
+
+def test_spectral_norm_repeatable_on_csr():
+    csr = scipy.sparse.random(300, 200, density=0.05, random_state=7,
+                              format="csr")
+    bits = {np.float64(linalg.spectral_norm(csr)).tobytes()
+            for _ in range(5)}
+    assert len(bits) == 1
+    assert linalg.spectral_norm(csr) == pytest.approx(
+        np.linalg.norm(csr.toarray(), 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("error", ["no_convergence", "arpack_error"])
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_top_k_falls_back_to_lapack_when_arpack_fails(kind, error,
+                                                      monkeypatch):
+    a = lowrank_noise(450, 420, 4, 0.1, np.random.default_rng(61))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    _, s_ref, vt_ref = scipy.linalg.svd(a, full_matrices=False)
+
+    def failing(*args, **kwargs):
+        if error == "no_convergence":
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "forced", np.zeros(0), np.zeros((0, 0)))
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", failing)
+    s, v = linalg._top_k(x, 3, vectors=True)
+    assert np.array_equal(s, s_ref[:3])
+    assert np.array_equal(v, vt_ref[:3].T)
+    assert np.array_equal(linalg._top_k(x, 3),
+                          scipy.linalg.svd(a, compute_uv=False)[:3])
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_top_k_arpack_matches_lapack(kind):
+    a = lowrank_noise(450, 420, 6, 0.05, np.random.default_rng(67))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    _, s_ref, vt_ref = scipy.linalg.svd(a, full_matrices=False)
+    s, v = linalg._top_k(x, 4, vectors=True)
+    assert np.all(np.diff(s) <= 0.0)
+    assert np.allclose(s, s_ref[:4], rtol=1e-12)
+    assert np.allclose(v @ v.T, vt_ref[:4].T @ vt_ref[:4], atol=1e-10)
+    op = scipy.sparse.linalg.aslinearoperator(x)
+    assert np.allclose(linalg._top_k(op, 4), s_ref[:4], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_top_k_all_zero_operand(kind, monkeypatch):
+    a = np.zeros((450, 420))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK called on an all-zero operand")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_arpack)
+    s, v = linalg._top_k(x, 3, vectors=True)
+    assert np.array_equal(s, np.zeros(3))
+    assert np.array_equal(v, np.eye(420, 3))
+    assert linalg.spectral_norm(x) == 0.0

@@ -186,3 +186,16 @@ def test_core_map_is_minimum_norm_on_deficient_v(rng, n):
         assert np.allclose(v @ sf.M, target, atol=1e-10)
         assert np.allclose(sf.M, np.linalg.pinv(v) @ target, atol=1e-10)
     assert sf.sketched == (n == 2000)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_delta_from_operator_matches_explicit_coefficients(kind):
+    # c = 420 > 400: Delta comes from ARPACK on A^T Y, never forming Y^T A
+    rng0 = np.random.default_rng(101)
+    a = lowrank_noise(600, 500, 5, 0.1, rng0)
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    v = a[:, :420]
+    sf = best_subspace_svd(x, v, 3)
+    u = np.linalg.svd(sf.Y.T @ a)[0][:, :3]
+    assert np.allclose(sf.Delta @ sf.Delta.T, u @ u.T, atol=1e-10)
+    assert np.allclose(v @ sf.M, sf.Y @ sf.Delta, atol=1e-10)
