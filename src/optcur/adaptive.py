@@ -53,7 +53,7 @@ def _normalize(sq_norms, total_ref):
     """Residual mass to a distribution; uniform when numerically zero."""
     sq = np.clip(sq_norms, 0.0, None)
     total = sq.sum()
-    if total <= _ZERO_RTOL * max(total_ref, 1.0):
+    if total <= _ZERO_RTOL * total_ref:
         n = sq.shape[0]
         return np.full(n, 1.0 / n), True
     return sq / total, False

@@ -18,11 +18,11 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from . import adaptive, audit, linalg, subset_select, subspace
+from . import adaptive, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
-from .linalg import (NumericalError, _check_finite, _cols, _matmul, as_array,
-                     as_sparse, is_sparse)
-from .sketch import make_sse, apply_sse
+from .linalg import (NumericalError, _check_finite, _cols, _matmul, _operand,
+                     as_array, as_sparse)
+from .sketch import make_sse
 
 VARIANTS = ("linear", "sparse", "deterministic")
 
@@ -198,10 +198,10 @@ _SLOTS = {
         adaptive.adaptive_cols_sparse(a, v, c2, rng),
         sketched=True),
     # the adaptive target is A Z Z^T: A_k on the column side, where Z1 holds
-    # the top right singular vectors of A
+    # the top right singular vectors of A (any k of them when rank(A) <= k)
     "deterministic": SimpleNamespace(
         prepare=as_array,
-        factor=lambda a, k, rng: deterministic_svd(a, k, 1.0).Z,
+        factor=lambda a, k, rng: linalg._top_k(a, k, vectors=True)[1],
         first=lambda a, z, az, h, r, rng: _exact_bss_cols(a, z, az, r),
         adapt=lambda a, z, v, c2, rng:
         adaptive.adaptive_rows_d(a.T, z, v.T, c2),
@@ -300,15 +300,17 @@ def _pipeline(a, cfg, rng, variant):
         diag["distinct_rows"] = int(rows.size)
         r_raw = _cols(a.T, rows).T
 
-    # the intersection matrix: exact, M (Z2^T A) R^+, or a sketched
-    # regression when the prescribed sketch width compresses the row dimension
+    # the intersection M (L A) R^+: L = Z2^T for min_Y ||C M Y R - A||, and
+    # L = (W Z2)^+ W for the CountSketch regression min_Y ||W (C M Y R - A)||
+    # when the width xi_u compresses the row dimension; W A is never formed
     with _timed(diag, "intersection"):
+        left = z2.T
         if slots.sketched and cfg.xi_u_val < m:
-            u_raw = _sketched_u(a, sf.M, c_raw, r_raw, cfg.xi_u_val, rng)
-        else:
-            if slots.sketched:
-                diag["sketch_caps"].append("u_regression_exact")
-            u_raw = sf.M @ linalg.apply_right_pinv(_matmul(z2.T, a), r_raw)
+            w = make_sse(m, cfg.xi_u_val, rng).as_csr()
+            left = _matmul(linalg.pinv(_matmul(w, z2)), w)
+        elif slots.sketched:
+            diag["sketch_caps"].append("u_regression_exact")
+        u_raw = sf.M @ linalg.apply_right_pinv(_matmul(left, a), r_raw)
         # spread each entry over the draws of its column and row, with the
         # sampling scale factors folded in, so C and R stay raw
         u = col_w[:, None] * u_raw[np.ix_(col_pos, row_pos)] * row_w[None, :]
@@ -317,17 +319,6 @@ def _pipeline(a, cfg, rng, variant):
         col_indices=col_idx, col_scales=col_scales,
         row_indices=row_idx, row_scales=row_scales,
         C=c_raw[:, col_pos], U=u, R=r_raw[row_pos], k=k, diagnostics=diag)
-
-
-def _sketched_u(a, core, c, r, xi_u, rng):
-    """U from the CountSketch regression min_Y ||W (C M Y R - A)||, where
-    M = core is the map sending C to Z2 (C @ M = Z2)."""
-    w = make_sse(a.shape[0], xi_u, rng)
-    wc_core = apply_sse(w, c) @ core
-    wa = apply_sse(w, a)
-    audit.note_dense(wa.size)
-    y_opt = linalg.pinv(wc_core) @ linalg.apply_right_pinv(wa, r)
-    return core @ y_opt
 
 
 def _proj_residual_sq(a, v):
@@ -377,49 +368,53 @@ def top_sigma_sq(a, k):
 
 
 def optimal_residual_sq(a, k):
-    """||A - A_k||_F^2."""
-    return max(linalg.frobenius_sq(a) - top_sigma_sq(a, k), 0.0)
+    """||A - A_k||_F^2 as ||A||^2 minus the top-k sigma^2; a difference
+    within the rounding of that subtraction, max(m, n) eps ||A||^2, is 0."""
+    fro = linalg.frobenius_sq(a)
+    opt = fro - top_sigma_sq(a, k)
+    return opt if opt > max(_operand(a).shape) * 2.0 ** -52 * fro else 0.0
 
 
-def cur_error_sq(a, dec):
-    """||A - C U R||_F^2 without forming CUR at full density.
+def cur_error_sq(a, dec, probe=None):
+    """||A - C U R||_F^2 as ||A - P T||^2, P = C Q and T = B R, with U = Q B
+    from `linalg._range_probe(U)` (or `probe`), so rank(U) bounds the cost.
 
-    On sparse input the Gram form ||A||^2 - 2<A, CUR> + ||CUR||^2 carries a
-    rounding error of about eps * (||A||^2 + ||CUR||^2), so an error below
-    1e-10 of that scale has few correct digits; it is summed directly
-    instead, a block of rows at a time."""
-    c = dec.C
-    ur = dec.U @ dec.R
-    if is_sparse(a):
-        csr = as_sparse(a)
-        fro = linalg.frobenius_sq(a)
-        cross = float(np.sum(np.asarray(csr.T @ c).T * ur))
-        norm_cur = float(np.sum((c.T @ c) @ ur * ur))
-        err_sq = fro - 2.0 * cross + norm_cur
-        if err_sq > 1e-10 * (fro + norm_cur):
-            return err_sq
-        step = max(1, (1 << 16) // max(csr.shape[1], 1))
-        err_sq = 0.0
-        for i in range(0, csr.shape[0], step):
-            block = csr[i:i + step].toarray() - c[i:i + step] @ ur
-            err_sq += float(np.sum(block * block))
+    The Gram form ||A||^2 - 2<P^T A, T> + ||P T||^2 carries a rounding error
+    of about eps * (||A||^2 + ||P T||^2), so an error below 1e-3 of that
+    scale would keep fewer than 12 correct digits; it is summed directly
+    instead, a block of rows at a time (on dense A in as many flops)."""
+    a = _operand(a)
+    q, b = linalg._range_probe(dec.U) if probe is None else probe
+    p = dec.C @ q
+    t = b @ dec.R
+    fro = linalg.frobenius_sq(a)
+    cross = float(np.sum(_matmul(p.T, a) * t))
+    norm_pt = float(np.sum((p.T @ p) @ t * t))
+    err_sq = fro - 2.0 * cross + norm_pt
+    if err_sq > 1e-3 * (fro + norm_pt):
         return err_sq
-    a = as_array(a)
-    return float(np.sum((a - c @ ur) ** 2))
+    step = max(1, (1 << 16) // max(a.shape[1], 1))
+    err_sq = 0.0
+    for i in range(0, a.shape[0], step):
+        rows = slice(i, i + step)
+        block = _cols(a.T, rows).T - p[rows] @ t
+        err_sq += float(np.sum(block * block))
+    return err_sq
 
 
 def evaluate(a, dec, opt_sq=None):
     """Exact error report for a decomposition."""
-    err_sq = max(cur_error_sq(a, dec), 0.0)
+    q, b = linalg._range_probe(dec.U)
+    err_sq = max(cur_error_sq(a, dec, (q, b)), 0.0)
     if opt_sq is None:
         opt_sq = optimal_residual_sq(a, dec.k)
     fro = linalg.frobenius_sq(a)
-    exact = err_sq <= 1e-16 * max(fro, 1.0)
+    exact = err_sq <= 1e-16 * fro
     if opt_sq > 0.0:
         ratio = err_sq / opt_sq
     else:
         ratio = 0.0 if exact else float("inf")
-    rank_u = linalg.numerical_rank(dec.U)
+    rank_u = linalg._rank(linalg.singular_values(b), b.shape)
     return EvalReport(err_sq=float(err_sq), opt_sq=float(opt_sq),
                       ratio=float(ratio), c=dec.C.shape[1], r=dec.R.shape[0],
                       rank_u=rank_u, exact=bool(exact))

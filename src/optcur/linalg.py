@@ -303,12 +303,10 @@ def apply_right_pinv(g, r):
     return solve_upper_rank_aware(t, (g @ q).T, scale=max(r.shape)).T
 
 
-def numerical_rank(a, probe=8, seed=12345):
-    """Rank of a matrix that is expected to be (very) low rank.
-
-    A random range probe certifies the rank cheaply; if the probe fails to
-    capture the range the exact singular values are used.
-    """
+def _range_probe(a, probe=8, seed=12345):
+    """(Q, B), A = Q B with B = Q^T A of the rank of A, from random range
+    probes of width 8, 32, ... accepted once ||A - Q B||^2 <= 1e-24 ||A||^2
+    (Halko-Martinsson-Tropp 4.3); (I, A) when A is small or not low rank."""
     a = np.asarray(a)
     m, n = a.shape
     rng = np.random.default_rng(seed)
@@ -317,11 +315,16 @@ def numerical_rank(a, probe=8, seed=12345):
         y = a @ rng.standard_normal((n, width))
         q = scipy.linalg.qr(y, mode="economic")[0]
         b = q.T @ a
-        if frobenius_sq(a - q @ b) <= (1e-24) * max(frobenius_sq(a), 1e-300):
-            a = b  # range(Q) holds range(A): A and Q^T A share their rank
-            break
+        if frobenius_sq(a - q @ b) <= 1e-24 * frobenius_sq(a):
+            return q, b
         width *= 4
-    return _rank(singular_values(a), a.shape)
+    return np.eye(m), a
+
+
+def numerical_rank(a):
+    """Rank of a matrix that is expected to be (very) low rank."""
+    b = _range_probe(a)[1]
+    return _rank(singular_values(b), b.shape)
 
 
 def _full_rank_triangle(t, scale):

@@ -233,11 +233,13 @@ def test_sparse_no_dense_materialization():
 
 def test_sparse_sketched_u_regression():
     # force the sketched intersection path (xi_u below the row count) and
-    # check the result still meets the relative-error target and rank cap
+    # check the result still meets the relative-error target and rank cap;
+    # the regression applies (W Z2)^+ W to A, never forming the dense W A
     a = sparse_instance(600, 500, 0.02, 3, 17)
     cfg = cur.CurConfig(k=3, epsilon=0.5, variant="sparse",
                         fidelity="heuristic", xi_u=400)
-    dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(3))
+    with audit.forbid_dense(cfg.xi_u_val * a.shape[1]):
+        dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(3))
     assert "u_regression_exact" not in dec.diagnostics["sketch_caps"]
     rep = cur.evaluate(a, dec)
     assert rep.ratio <= 2.5
@@ -494,3 +496,85 @@ def test_sparse_variant_on_all_zero_input_is_exact(kind):
     assert rep.exact and rep.ratio == 0.0
     assert np.all(np.isfinite(dec.U))
     assert reconstructible(a, dec)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("variant", cur.VARIANTS)
+@pytest.mark.parametrize("case", ["gram", "exact", "small"])
+def test_cur_error_sq_matches_direct_sum(case, variant, kind):
+    # "gram": a noisy input, whose error the Gram form gives; "exact": a
+    # rank-2 input at k = 2, whose error is below rounding and is summed by
+    # row blocks; "small": c = r = 12 <= 32, where the range probe of U is
+    # the trivial (I, U).  Few adaptive draws keep the derandomized top-up,
+    # which enumerates a hash family of about (4m)^2 members, at seconds.
+    rng = np.random.default_rng(167)
+    if case == "exact":
+        a = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 36))
+        a[rng.random(40) < 0.3] = 0.0
+    else:
+        a = lowrank_noise(40, 36, 4, 0.3, rng)
+        a[rng.random(a.shape) < 0.3] = 0.0
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    first = 8 if case == "small" else 30
+    cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
+                        fidelity="heuristic", c1=first, r1=first, c2=4, r2=4)
+    dec = cur.decompose(x, cfg, np.random.default_rng(2))
+    assert (min(dec.C.shape[1], dec.R.shape[0]) <= 32) == (case == "small")
+    fro = linalg.frobenius_sq(a)
+    direct = float(np.sum((a - dec.C @ dec.U @ dec.R) ** 2))
+    assert (direct > 1e-3 * fro) == (case != "exact")
+    assert cur.cur_error_sq(x, dec) == pytest.approx(
+        direct, rel=1e-12, abs=1e-24 * fro)
+
+
+def test_evaluate_probes_u_once(monkeypatch):
+    a = lowrank_noise(120, 100, 3, 0.2, np.random.default_rng(173))
+    cfg = cur.CurConfig(k=2, epsilon=0.5, fidelity="heuristic")
+    dec = cur.decompose(a, cfg, np.random.default_rng(0))
+    calls = []
+    real = linalg._range_probe
+
+    def counting(u, *args, **kwargs):
+        calls.append(np.shape(u))
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_range_probe", counting)
+    rep = cur.evaluate(a, dec)
+    assert calls == [dec.U.shape]
+    assert rep.rank_u == 2
+
+
+@pytest.mark.parametrize("variant", cur.VARIANTS)
+def test_power_of_two_scaling_keeps_indices(variant):
+    # 2^j A must give the same draws and 2^-j U: every floor is relative
+    # (two adaptive draws keep the derandomized top-up at seconds)
+    a = lowrank_noise(80, 60, 5, 0.1, np.random.default_rng(179))
+    few = dict(c2=2, r2=2) if variant == "deterministic" else {}
+    cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
+                        fidelity="heuristic", **few)
+    base = cur.decompose(a, cfg, np.random.default_rng(1))
+    for j in (-300, -100, 40, 300):
+        dec = cur.decompose(np.ldexp(a, j), cfg, np.random.default_rng(1))
+        assert dec.col_indices.tobytes() == base.col_indices.tobytes()
+        assert dec.row_indices.tobytes() == base.row_indices.tobytes()
+        u = np.ldexp(dec.U, j)
+        if variant == "sparse":  # ARPACK rescales its input past 2^+-255
+            assert np.abs(u - base.U).max() <= 1e-12 * np.abs(base.U).max()
+        else:
+            assert u.tobytes() == base.U.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("variant", cur.VARIANTS)
+def test_rank_at_most_k_gives_exact_cur(variant, kind):
+    rng = np.random.default_rng(181)
+    cfg = cur.CurConfig(k=2, epsilon=1.0, variant=variant,
+                        fidelity="heuristic")
+    for rank in (0, 1, 2):
+        a = rng.standard_normal((50, rank)) @ rng.standard_normal((rank, 40))
+        x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+        dec = cur.decompose(x, cfg, np.random.default_rng(0))
+        rep = cur.evaluate(x, dec)
+        assert rep.exact and rep.ratio == 0.0
+        assert rep.rank_u == rank
+        assert reconstructible(a, dec)
