@@ -7,13 +7,12 @@ plus the sampling, sketching, and subspace primitives they are built from.
 
 from .linalg import (DenseMatrix, SparseMatrix, SvdFactorization,
                      QrFactorization, NumericalError, svd, truncate, pinv, qr,
-                     frobenius_sq, spectral_norm)
-from .sketch import SparseEmbedding, SignSketch, make_sse, apply_sse, jlt
+                     frobenius_sq)
+from .sketch import SparseEmbedding, SignSketch, make_sse
 from .approx_svd import FactorZ, deterministic_svd, randomized_svd, sparse_svd
 from .subset_select import (SamplingPair, WeightedSelection, rand_sampling,
                             bss_sampling, bss_sampling_sparse)
-from .adaptive import (adaptive_cols, adaptive_rows, adaptive_cols_sparse,
-                       adaptive_rows_sparse, adaptive_rows_d, adaptive_cols_d)
+from .adaptive import adaptive_cols, adaptive_cols_sparse, adaptive_rows_d
 from .subspace import (SubspaceFactor, best_subspace_svd, approx_subspace_svd,
                        rank_constrained_u)
 from .cur import (CurConfig, CurDecomposition, EvalReport, cur_linear_time,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import _col_sq_norms, _matmul, _operand, as_array
+from .linalg import _col_sq_norms, _matmul, as_array
 from .sketch import jlt_rows, make_sign_sketch
 
 _ZERO_RTOL = 1e-13
@@ -44,10 +44,6 @@ class PairwiseHashFamily:
     p_hash: int
     range: int
 
-    @property
-    def size(self):
-        return self.p_hash * self.p_hash
-
 
 def _normalize(sq_norms, total_ref):
     """Residual mass to a distribution; uniform when numerically zero."""
@@ -69,19 +65,14 @@ def residual_col_distribution(a, v):
     return ResidualDistribution(p=p, alpha=1.0, uniform_fallback=fallback)
 
 
-def residual_row_distribution(a, r1):
-    """Exact row distribution of B = A - A R1^+ R1: the column form on A^T."""
-    return residual_col_distribution(_operand(a).T, as_array(r1).T)
-
-
-def sketched_col_distribution(a, v, rng, beta=1.0):
+def sketched_col_distribution(a, v, rng):
     """Column distribution of the sketched residual S A - (S V)(V^+ A).
 
     Never forms the m x n residual; the sketch preserves each column norm
-    within [1/2, 3/2] w.p. 1 - n^-beta, giving the 1/3 probability floor.
+    within [1/2, 3/2] w.p. 1 - 1/n, giving the 1/3 probability floor.
     """
     m, n = np.shape(a)
-    s = make_sign_sketch(jlt_rows(n, beta), m, rng)
+    s = make_sign_sketch(jlt_rows(n, 1.0), m, rng)
     v = as_array(v)
     vpa = _matmul(linalg.pinv(v), a)
     bt = _matmul(s.S, a) - (s.S @ v) @ vpa
@@ -89,41 +80,16 @@ def sketched_col_distribution(a, v, rng, beta=1.0):
     return ResidualDistribution(p=p, alpha=1.0 / 3.0, uniform_fallback=fallback)
 
 
-def sketched_row_distribution(a, r1, rng, beta=1.0):
-    """Sketched row distribution of A - A R1^+ R1: the column form on A^T."""
-    return sketched_col_distribution(_operand(a).T, as_array(r1).T, rng, beta)
-
-
 def _draw(dist, count, rng):
     return rng.choice(dist.p.shape[0], size=count, p=dist.p)
 
 
-def adaptive_cols(a, v, alpha, c2, rng, probs=None):
-    """c2 i.i.d. column draws from the residual distribution of A vs span(V).
-
-    With the default alpha = 1 path the distribution is exactly proportional
-    to squared residual column norms; a caller-supplied distribution must
-    respect the alpha floor.
-    """
+def adaptive_cols(a, v, c2, rng):
+    """c2 i.i.d. column draws with probabilities exactly proportional to the
+    squared residual column norms of A vs span(V)."""
     if c2 < 1:
         raise ValueError("c2 must be >= 1")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    dist = residual_col_distribution(a, v)
-    if probs is not None:
-        p = np.asarray(probs, dtype=np.float64)
-        if np.any(p < alpha * dist.p - 1e-12) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("supplied distribution violates the alpha floor")
-        dist = ResidualDistribution(p=p, alpha=alpha,
-                                    uniform_fallback=dist.uniform_fallback)
-    return _draw(dist, c2, rng)
-
-
-def adaptive_rows(a, v, r1, r2, rng):
-    """r2 i.i.d. row draws proportional to squared residual row norms."""
-    if r2 < 1:
-        raise ValueError("r2 must be >= 1")
-    return _draw(residual_row_distribution(a, r1), r2, rng)
+    return _draw(residual_col_distribution(a, v), c2, rng)
 
 
 def adaptive_cols_sparse(a, v, c2, rng):
@@ -131,14 +97,6 @@ def adaptive_cols_sparse(a, v, c2, rng):
     if c2 < 1:
         raise ValueError("c2 must be >= 1")
     return _draw(sketched_col_distribution(a, v, rng), c2, rng)
-
-
-def adaptive_rows_sparse(a, v, r1, r2, rng):
-    """Row draws from the right-sketched residual; nnz-time, no m x n buffer."""
-    if r2 < 1:
-        raise ValueError("r2 must be >= 1")
-    return _draw(sketched_row_distribution(a, r1, rng), r2, rng)
-
 
 # ---------------------------------------------------------------------------
 # derandomized variants
@@ -197,7 +155,7 @@ def projection_objective(a, p_va, rows):
     """||A - (V V^+ A) R^+ R||_F^2 given the precomputed P = V V^+ A and the
     row block R, via the orthonormal row-space factor of R."""
     a = as_array(a)
-    q = linalg.row_space_projector_factor(rows)
+    q = linalg.orthonormal_basis(rows.T)  # R^+ R = Q Q^T
     aq = a @ q
     pq = p_va @ q
     return np.sum(a * a) - 2.0 * np.sum(aq * pq) + np.sum(pq * pq)
@@ -215,7 +173,7 @@ def adaptive_rows_d(a, v, r1, r2):
     m = a.shape[0]
     if not 1 <= r2 <= m:
         raise ValueError("need 1 <= r2 <= m")
-    dist = residual_row_distribution(a, r1)
+    dist = residual_col_distribution(a.T, r1.T)  # the rows of A - A R1^+ R1
     if dist.uniform_fallback:
         return np.arange(r2)
     qv = linalg.orthonormal_basis(as_array(v))
@@ -234,11 +192,3 @@ def adaptive_rows_d(a, v, r1, r2):
         if best is None or val < best[0]:
             best = (val, idx)
     return best[1]
-
-
-def adaptive_cols_d(a, v, c2, k):
-    """Deterministic column selection: the row procedure on the transpose,
-    with the rank-k truncation of A as the projection target."""
-    a = as_array(a)
-    a_k = linalg.truncate(linalg.svd(a), k)
-    return adaptive_rows_d(a.T, a_k.T, as_array(v).T, c2)

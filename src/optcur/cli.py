@@ -45,6 +45,8 @@ def _derived_seed(seed, trial):
 
 def _run_decompose(a, cfg, trials):
     """Run `trials` independent attempts, keep the best evaluate() ratio."""
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError("trials must be a positive integer, not %r" % (trials,))
     opt_sq = cur.optimal_residual_sq(a, cfg.k)
     best = None
     for trial in range(trials):
@@ -65,7 +67,7 @@ def cmd_decompose(args):
                         variant=args.variant, seed=args.seed,
                         fidelity=args.fidelity)
     t0 = time.perf_counter()
-    dec, rep, used_seed = _run_decompose(mat, cfg, max(args.trials, 1))
+    dec, rep, used_seed = _run_decompose(mat, cfg, args.trials)
     elapsed = time.perf_counter() - t0
 
     out_dir = args.out_dir
@@ -138,6 +140,11 @@ def cmd_gen_adversarial(args):
 def cmd_bench(args):
     with open(args.suite) as fh:
         entries = json.load(fh)
+    # every entry is checked for its required keys before any runs
+    for i, entry in enumerate(entries):
+        missing = sorted({"input", "rank", "epsilon"} - set(entry))
+        if missing:
+            raise ValueError("suite entry %d lacks %s" % (i, ", ".join(missing)))
     failures = 0
     for entry in entries:
         mat = mmio.read_matrix(entry["input"])

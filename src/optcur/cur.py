@@ -25,6 +25,7 @@ from .linalg import (NumericalError, _check_finite, _cols, _matmul, _operand,
 from .sketch import make_sse
 
 VARIANTS = ("linear", "sparse", "deterministic")
+_RETRIES = 5  # redraws of a first stage that lost rank, per phase
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class CurConfig:
     r1: int = None
     r2: int = None
     xi_u: int = None
-    retries: int = 5
 
     def __post_init__(self):
         if self.k < 1:
@@ -151,7 +151,7 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     scaled columns, their indices and scales, or None when the sampled
     leverage matrix lost rank.
     """
-    pair = subset_select.rand_sampling(z, min(h, a.shape[1]), 1.0, rng)
+    pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
     msmall = pair.pick_rows(z).T  # k x h
     k = z.shape[1]
     _, s, vt = scipy.linalg.svd(msmall, full_matrices=False)
@@ -187,8 +187,7 @@ _SLOTS = {
         prepare=as_array,
         factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng).Z,
         first=_levered_bss_stage,
-        adapt=lambda a, z, v, c2, rng:
-        adaptive.adaptive_cols(a, v, 1.0, c2, rng),
+        adapt=lambda a, z, v, c2, rng: adaptive.adaptive_cols(a, v, c2, rng),
         sketched=False),
     "sparse": SimpleNamespace(
         prepare=as_sparse,
@@ -209,7 +208,7 @@ _SLOTS = {
 }
 
 
-def _side(a, z, slots, h, r1, r2, rng, retries, diag):
+def _side(a, z, slots, h, r1, r2, rng, diag):
     """One selection phase over the columns of A; the row phase is this phase
     on A^T against Z2.
 
@@ -218,7 +217,7 @@ def _side(a, z, slots, h, r1, r2, rng, retries, diag):
     the indices, their scales and the scaled first-stage columns.
     """
     az = _matmul(a, z)
-    for _ in range(retries + 1):
+    for _ in range(_RETRIES + 1):
         stage = slots.first(a, z, az, h, r1, rng)
         if stage is not None:
             break
@@ -273,8 +272,7 @@ def _pipeline(a, cfg, rng, variant):
         z1 = slots.factor(a, k, rng)
     with _timed(diag, "columns"):
         col_idx, col_scales, c1_scaled = _side(
-            a, z1, slots, cfg.h1_val, cfg.c1_val, cfg.c2_val, rng,
-            cfg.retries, diag)
+            a, z1, slots, cfg.h1_val, cfg.c1_val, cfg.c2_val, rng, diag)
         diag["c1_residual_sq"] = _proj_residual_sq(a, c1_scaled)
 
     # Repeated draws add no direction: the core Z2 and the intersection are
@@ -294,8 +292,7 @@ def _pipeline(a, cfg, rng, variant):
 
     with _timed(diag, "rows"):
         row_idx, row_scales, _ = _side(
-            a.T, z2, slots, cfg.h2_val, cfg.r1_val, cfg.r2_val, rng,
-            cfg.retries, diag)
+            a.T, z2, slots, cfg.h2_val, cfg.r1_val, cfg.r2_val, rng, diag)
         rows, row_pos, row_w = _distinct(row_idx, row_scales)
         diag["distinct_rows"] = int(rows.size)
         r_raw = _cols(a.T, rows).T
@@ -370,24 +367,32 @@ def top_sigma_sq(a, k):
 def optimal_residual_sq(a, k):
     """||A - A_k||_F^2 as ||A||^2 minus the top-k sigma^2; a difference
     within the rounding of that subtraction, max(m, n) eps ||A||^2, is 0."""
-    fro = linalg.frobenius_sq(a)
+    return _optimal_residual_sq(a, k, linalg.frobenius_sq(a))
+
+
+def _optimal_residual_sq(a, k, fro):
     opt = fro - top_sigma_sq(a, k)
     return opt if opt > max(_operand(a).shape) * 2.0 ** -52 * fro else 0.0
 
 
-def cur_error_sq(a, dec, probe=None):
+def cur_error_sq(a, dec):
+    """||A - C U R||_F^2; see `_error_sq`."""
+    return _error_sq(a, dec, linalg._range_probe(dec.U), linalg.frobenius_sq(a))
+
+
+def _error_sq(a, dec, probe, fro):
     """||A - C U R||_F^2 as ||A - P T||^2, P = C Q and T = B R, with U = Q B
-    from `linalg._range_probe(U)` (or `probe`), so rank(U) bounds the cost.
+    from `linalg._range_probe(U)` as `probe`, so rank(U) bounds the cost, and
+    fro = ||A||^2.
 
     The Gram form ||A||^2 - 2<P^T A, T> + ||P T||^2 carries a rounding error
     of about eps * (||A||^2 + ||P T||^2), so an error below 1e-3 of that
     scale would keep fewer than 12 correct digits; it is summed directly
     instead, a block of rows at a time (on dense A in as many flops)."""
     a = _operand(a)
-    q, b = linalg._range_probe(dec.U) if probe is None else probe
+    q, b = probe
     p = dec.C @ q
     t = b @ dec.R
-    fro = linalg.frobenius_sq(a)
     cross = float(np.sum(_matmul(p.T, a) * t))
     norm_pt = float(np.sum((p.T @ p) @ t * t))
     err_sq = fro - 2.0 * cross + norm_pt
@@ -403,12 +408,13 @@ def cur_error_sq(a, dec, probe=None):
 
 
 def evaluate(a, dec, opt_sq=None):
-    """Exact error report for a decomposition."""
-    q, b = linalg._range_probe(dec.U)
-    err_sq = max(cur_error_sq(a, dec, (q, b)), 0.0)
-    if opt_sq is None:
-        opt_sq = optimal_residual_sq(a, dec.k)
+    """Exact error report for a decomposition; U is probed and ||A||^2
+    summed once, and both are shared by the error and the optimum."""
     fro = linalg.frobenius_sq(a)
+    q, b = linalg._range_probe(dec.U)
+    err_sq = max(_error_sq(a, dec, (q, b), fro), 0.0)
+    if opt_sq is None:
+        opt_sq = _optimal_residual_sq(a, dec.k, fro)
     exact = err_sq <= 1e-16 * fro
     if opt_sq > 0.0:
         ratio = err_sq / opt_sq

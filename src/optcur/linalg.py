@@ -50,22 +50,11 @@ class DenseMatrix:
     def nnz(self):
         return int(np.count_nonzero(self.data))
 
-    def row(self, i):
-        return self.data[i]
-
-    def col(self, j):
-        return self.data[:, j]
-
-    def matvec(self, x):
-        return self.data @ x
-
-    def to_dense(self):
-        return self.data
-
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.data.astype(dtype)
-        return self.data
+        """The read-only buffer itself, or a writable copy for copy=True."""
+        if copy:
+            return np.array(self.data, dtype=dtype)
+        return self.data if dtype is None else self.data.astype(dtype, copy=False)
 
 
 class SparseMatrix:
@@ -85,15 +74,6 @@ class SparseMatrix:
     @property
     def nnz(self):
         return int(self.csr.nnz)
-
-    def row(self, i):
-        return self.csr.getrow(i).toarray().ravel()
-
-    def col(self, j):
-        return self.csr.getcol(j).toarray().ravel()
-
-    def matvec(self, x):
-        return self.csr @ x
 
     def to_dense(self):
         audit.note_dense(self.shape[0] * self.shape[1])
@@ -275,24 +255,16 @@ def qr(a):
 
 
 def frobenius_sq(a):
+    """||A||_F^2, summed without an m x n temporary by einsum, which runs on
+    one thread, so the bits do not depend on the BLAS thread count."""
     a = _operand(a)
-    x = a.data if scipy.sparse.issparse(a) else a
-    return float(np.sum(x * x))
-
-
-def spectral_norm(a):
-    return float(_top_k(a, 1)[0])
+    x = a.data if scipy.sparse.issparse(a) else a.ravel(order="K")
+    return float(np.einsum("i,i->", x, x))
 
 
 def orthonormal_basis(a):
     """Orthonormal basis for the column space (rank-revealing, via SVD)."""
     return svd(a).U_A
-
-
-def row_space_projector_factor(r):
-    """Orthonormal Q (n x rho) with R^+ R = Q Q^T for the r x n matrix R."""
-    f = svd(np.asarray(r).T)
-    return f.U_A
 
 
 def apply_right_pinv(g, r):
@@ -319,12 +291,6 @@ def _range_probe(a, probe=8, seed=12345):
             return q, b
         width *= 4
     return np.eye(m), a
-
-
-def numerical_rank(a):
-    """Rank of a matrix that is expected to be (very) low rank."""
-    b = _range_probe(a)[1]
-    return _rank(singular_values(b), b.shape)
 
 
 def _full_rank_triangle(t, scale):

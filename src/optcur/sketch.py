@@ -47,19 +47,11 @@ def make_sse(n, xi, rng):
     return SparseEmbedding(xi=int(xi), n=int(n), h=h, y=y)
 
 
-def apply_sse(w, a):
-    """Compute W A (xi x cols), touching each stored nonzero of A once."""
-    m = np.shape(a)[0]
-    if w.n != m:
-        raise ValueError("embedding source dim %d != rows %d" % (w.n, m))
-    return _matmul(w.as_csr(), a)
-
-
 def apply_sse_compressed(w, a):
     """W A with all-zero bucket rows dropped.
 
     Row order is by bucket id.  Column norms and left singular vectors of the
-    result match apply_sse exactly, which is all the norm-only and SVD-only
+    result match W A exactly, which is all the norm-only and SVD-only
     consumers need; this keeps memory bounded by the number of occupied
     buckets (<= n) even when xi is huge.
     """
@@ -78,15 +70,3 @@ def make_sign_sketch(s, m, rng, scaled=True):
 def jlt_rows(n, beta):
     """Sketch height preserving n squared norms within [1/2, 3/2] w.p. 1 - n^-beta."""
     return int(np.ceil(8.0 * (4.0 + 2.0 * beta) * np.log(n)))
-
-
-def jlt(b, beta, rng):
-    """S B with S a sign sketch sized to preserve all column norms of B."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    m, n = np.shape(b)
-    if n < 2:
-        raise ValueError("need at least 2 columns")
-    s = jlt_rows(n, beta)
-    sk = make_sign_sketch(s, m, rng)
-    return _matmul(sk.S, b)

@@ -32,10 +32,6 @@ class SamplingPair:
     scales: np.ndarray  # D_jj = 1 / sqrt(p_i * r)
     probs: np.ndarray  # the distribution sampled from
 
-    @property
-    def r(self):
-        return self.indices.shape[0]
-
     def pick_rows(self, x):
         """D Omega^T X: the sampled, rescaled rows of X."""
         x = as_array(x)
@@ -44,25 +40,10 @@ class SamplingPair:
 
 @dataclass(frozen=True)
 class WeightedSelection:
-    """Nonnegative weights with <= r nonzeros; the matrix S column-by-column."""
+    """The r greedy steps of S: column j of S is sqrt(w_j) e_{i_j}."""
 
-    weights: np.ndarray  # length n, >= 0
     steps: tuple  # ((index, weight_added), ...) in greedy order, rescaled
     r: int
-
-    @property
-    def n(self):
-        return self.weights.shape[0]
-
-    def nonzero_indices(self):
-        return np.flatnonzero(self.weights)
-
-    def selection_matrix(self):
-        """S as an n x r dense matrix, one sqrt-weight entry per greedy step."""
-        s = np.zeros((self.n, self.r))
-        idx, w = self.stepped()
-        s[idx, np.arange(len(idx))] = w
-        return s
 
     def stepped(self):
         """(indices, sqrt-weights) of the greedy steps: S one column a step."""
@@ -75,34 +56,19 @@ class WeightedSelection:
         return as_array(x)[idx] * w[:, None]
 
 
-def rand_sampling(x, r, beta, rng, probs=None):
-    """Sample r rows of x with replacement from its norm distribution.
-
-    With beta = 1 (the default path) p_i = ||x_i||^2 / ||X||_F^2.  A caller
-    may supply any distribution satisfying the beta floor
-    p_i >= beta * ||x_i||^2 / ||X||_F^2.
-    """
+def rand_sampling(x, r, rng):
+    """Sample r rows of x with replacement, p_i = ||x_i||^2 / ||X||_F^2."""
     x = as_array(x)
     n, k = x.shape
     if not (n > k >= 1):
         raise ValueError("need n > k >= 1")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
-    lev = np.sum(x * x, axis=1)
-    total = lev.sum()
+    p = np.sum(x * x, axis=1)
+    total = p.sum()
     if total == 0.0:
         raise ValueError("all-zero matrix: sampling distribution undefined")
-    lev /= total
-    if probs is None:
-        p = lev
-    else:
-        p = np.asarray(probs, dtype=np.float64)
-        if p.shape != (n,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be a distribution over the n rows")
-        if np.any(p < beta * lev - 1e-12):
-            raise ValueError("supplied distribution violates the beta floor")
+    p /= total
     idx = rng.choice(n, size=r, p=p)
     return SamplingPair(indices=idx, scales=1.0 / np.sqrt(p[idx] * r),
                         probs=p)
@@ -113,7 +79,7 @@ def bss_sampling(v, a, r):
 
     v: n x k with orthonormal columns (sum of v_i v_i^T = I_k);
     a: n x l, the second vector set (enters only through row norms);
-    returns weights s with <= r nonzeros such that
+    returns r weighted steps S (<= r distinct indices) such that
 
         sigma_k(V^T S) >= 1 - sqrt(k/r)   and   ||A^T S||_F^2 <= ||A||_F^2.
     """
@@ -135,7 +101,6 @@ def bss_sampling(v, a, r):
     u_vals = anorms / delta_u
 
     sqrt_rk = np.sqrt(r * k)
-    weights = np.zeros(n)
     steps = []
     m = np.zeros((k, k))
     for tau in range(r):
@@ -156,14 +121,12 @@ def bss_sampling(v, a, r):
             raise linalg.NumericalError("no admissible index at step %d" % tau)
         i = int(admissible[0])
         t = 2.0 / (u_vals[i] + l_vals[i])
-        weights[i] += t
         steps.append((i, t))
         m += t * np.outer(v[i], v[i])
 
     scale = shrink / r
-    weights *= scale
     steps = tuple((i, t * scale) for i, t in steps)
-    return WeightedSelection(weights=weights, steps=steps, r=r)
+    return WeightedSelection(steps=steps, r=r)
 
 
 def bss_sampling_sparse(v, a, r, eps, rng):

@@ -30,11 +30,6 @@ class SubspaceFactor:
     M: np.ndarray  # c x k, pinv(V) Y Delta
     sketched: bool = False
 
-    def project(self, a):
-        """Y Delta Delta^T Y^T A, the rank-<=k approximation in span(V)."""
-        b = self.Y @ self.Delta
-        return b @ _matmul(b.T, a)
-
 
 def _exact_delta(a, y, k):
     """Delta = the top-k right singular vectors of A^T Y; past _DENSE_TOP_K

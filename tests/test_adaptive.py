@@ -7,7 +7,6 @@ every instance.
 
 import numpy as np
 import pytest
-import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +41,7 @@ def test_adaptive_cols_zero_residual_uniform(rng):
     dist = adaptive.residual_col_distribution(a, a)  # V spans col space
     assert dist.uniform_fallback
     assert np.allclose(dist.p, 1.0 / 10)
-    idx = adaptive.adaptive_cols(a, a, 1.0, 5, rng)
+    idx = adaptive.adaptive_cols(a, a, 5, rng)
     assert len(idx) == 5 and np.all((idx >= 0) & (idx < 10))
 
 
@@ -53,7 +52,7 @@ def test_adaptive_cols_frequencies(rng):
     b = a - v @ (np.asarray(linalg.pinv(v)) @ a)
     expected = np.sum(b * b, axis=0)
     assert np.allclose(dist.p, expected / expected.sum(), atol=1e-9)
-    idx = adaptive.adaptive_cols(a, v, 1.0, 10 ** 5, np.random.default_rng(3))
+    idx = adaptive.adaptive_cols(a, v, 10 ** 5, np.random.default_rng(3))
     counts = np.bincount(idx, minlength=8)
     mask = dist.p > 1e-12
     _, pvalue = scipy.stats.chisquare(counts[mask],
@@ -73,8 +72,7 @@ def test_adaptive_cols_expectation_bound():
     bound = np.sum(s[k:] ** 2) + (k / (1.0 * c2)) * resid_v
     vals = []
     for trial in range(2000):
-        idx = adaptive.adaptive_cols(a, v, 1.0, c2,
-                                     np.random.default_rng(trial))
+        idx = adaptive.adaptive_cols(a, v, c2, np.random.default_rng(trial))
         cols = np.hstack([v, a[:, idx]])
         vals.append(span_restricted_residual_sq(a, cols, k))
     vals = np.array(vals)
@@ -82,26 +80,13 @@ def test_adaptive_cols_expectation_bound():
     assert vals.mean() <= bound + 3.0 * se
 
 
-def test_adaptive_cols_alpha_floor_validation(rng):
-    a = rng.standard_normal((6, 8))
-    v = a[:, :2]
-    dist = adaptive.residual_col_distribution(a, v)
-    mixed = 0.5 * dist.p + 0.5 / 8
-    idx = adaptive.adaptive_cols(a, v, 0.5, 3, rng, probs=mixed)
-    assert len(idx) == 3
-    with pytest.raises(ValueError):
-        bad = np.zeros(8)
-        bad[0] = 1.0
-        adaptive.adaptive_cols(a, v, 0.5, 3, rng, probs=bad)
-
-
 # ---------------------------------------------------------------------------
-# randomized rows
+# randomized rows: the column draws on A^T, as the pipeline's row phase runs
 
 
 def test_adaptive_rows_zero_residual(rng):
     a = rng.standard_normal((9, 7))
-    dist = adaptive.residual_row_distribution(a, a)  # R1 spans row space
+    dist = adaptive.residual_col_distribution(a.T, a.T)  # R1 spans row space
     assert dist.uniform_fallback
 
 
@@ -117,7 +102,7 @@ def test_adaptive_rows_expectation_bound():
     bound = resid_v + (rho / r2) * resid_r
     vals = []
     for trial in range(2000):
-        idx = adaptive.adaptive_rows(a, v, r1, r2,
+        idx = adaptive.adaptive_cols(a.T, r1.T, r2,
                                      np.random.default_rng(trial))
         rows = np.vstack([r1, a[idx]])
         vals.append(row_projection_residual_sq(a, v, rows))
@@ -145,35 +130,17 @@ def test_sketched_col_distribution_floor():
 
 
 def test_sketched_row_distribution_floor():
+    # the row form: the column form on A^T against R1^T
     rng0 = np.random.default_rng(73)
     a = lowrank_noise(40, 40, 2, 0.5, rng0)
     r1 = a[:4]
-    exact = adaptive.residual_row_distribution(a, r1).p
+    exact = adaptive.residual_col_distribution(a.T, r1.T).p
     hits = 0
     for seed in range(100):
-        p = adaptive.sketched_row_distribution(
-            a, r1, np.random.default_rng(seed)).p
+        p = adaptive.sketched_col_distribution(
+            a.T, r1.T, np.random.default_rng(seed)).p
         hits += np.all(p >= exact / 3.0 - 1e-12)
     assert hits >= 99
-
-
-@pytest.mark.parametrize("kind", ["dense", "csr"])
-def test_row_distributions_mirror_column_forms(kind):
-    # the row forms are the column forms on A^T, bit for bit
-    a = lowrank_noise(30, 24, 3, 0.3, np.random.default_rng(83))
-    a[np.random.default_rng(84).random(a.shape) < 0.5] = 0.0
-    r1 = a[:5].copy()
-    if kind == "csr":
-        a = scipy.sparse.csr_matrix(a)
-    rows = adaptive.residual_row_distribution(a, r1).p
-    cols = adaptive.residual_col_distribution(a.T, r1.T).p
-    assert rows.tobytes() == cols.tobytes()
-    for seed in range(10):
-        rows = adaptive.sketched_row_distribution(
-            a, r1, np.random.default_rng(seed)).p
-        cols = adaptive.sketched_col_distribution(
-            a.T, r1.T, np.random.default_rng(seed)).p
-        assert rows.tobytes() == cols.tobytes()
 
 
 def test_adaptive_cols_sparse_zero_residual(rng):
@@ -220,7 +187,6 @@ def test_hash_family_size_and_range():
     fam = adaptive.hash_family(10)
     assert fam.range == 40
     assert fam.p_hash >= 40
-    assert fam.size == fam.p_hash ** 2
     # each family member produces draws inside [0, n)
     p = np.random.default_rng(0).dirichlet(np.ones(10))
     disc = adaptive.discretize(p)
@@ -228,7 +194,7 @@ def test_hash_family_size_and_range():
     for _, _, idx in adaptive.family_candidates(fam, disc, 3):
         assert np.all((idx >= 0) & (idx < 10))
         seen += 1
-    assert seen == fam.size
+    assert seen == fam.p_hash ** 2
 
 
 def test_projection_objective_matches_direct(rng):
@@ -275,6 +241,12 @@ def test_adaptive_rows_d_zero_residual(rng):
     assert len(idx) == 2
 
 
+def top_right_singvecs(a, k):
+    """Z1 of the deterministic pipeline; with it as V, adaptive_rows_d on
+    A^T selects columns against the target A Z1 Z1^T = A_k."""
+    return linalg._top_k(a, k, vectors=True)[1]
+
+
 def test_adaptive_cols_d_guaranteed_bound():
     for trial in range(5):
         rng = np.random.default_rng(3000 + trial)
@@ -283,7 +255,7 @@ def test_adaptive_cols_d_guaranteed_bound():
         v = a[:, :2]
         resid_v = np.sum((a - v @ (np.asarray(linalg.pinv(v)) @ a)) ** 2)
         s = np.linalg.svd(a, compute_uv=False)
-        idx = adaptive.adaptive_cols_d(a, v, c2, k)
+        idx = adaptive.adaptive_rows_d(a.T, top_right_singvecs(a, k), v.T, c2)
         cols = np.hstack([v, a[:, idx]])
         achieved = span_restricted_residual_sq(a, cols, k)
         assert achieved <= np.sum(s[k:] ** 2) + (4.0 * k / c2) * resid_v + 1e-9
@@ -294,6 +266,6 @@ def test_adaptive_cols_d_exact_rank_k_recovery(rng):
     # and adding c2 columns on top of a spanning V reproduces A exactly
     a = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 10))
     v = a[:, :3]
-    idx = adaptive.adaptive_cols_d(a, v, 2, 2)
+    idx = adaptive.adaptive_rows_d(a.T, top_right_singvecs(a, 2), v.T, 2)
     cols = np.hstack([v, a[:, idx]])
     assert span_restricted_residual_sq(a, cols, 2) <= 1e-16 * np.sum(a * a)

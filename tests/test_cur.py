@@ -149,7 +149,7 @@ def test_linear_cur_identity():
     dec = cur.cur_linear_time(a, cfg, np.random.default_rng(2))
     cur_mat = dec.C @ dec.U @ dec.R
     q1 = linalg.orthonormal_basis(dec.C @ dec.U)
-    q2 = linalg.row_space_projector_factor(dec.R)
+    q2 = linalg.orthonormal_basis(dec.R.T)
     projected = q1 @ (q1.T @ a @ q2) @ q2.T
     assert np.allclose(cur_mat, projected, atol=1e-8)
 
@@ -542,6 +542,28 @@ def test_evaluate_probes_u_once(monkeypatch):
     rep = cur.evaluate(a, dec)
     assert calls == [dec.U.shape]
     assert rep.rank_u == 2
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_evaluate_sums_fro_once(kind, monkeypatch):
+    # ||A||^2 is summed once and shared: the report equals the public
+    # error and optimum, which each sum it themselves, bit for bit
+    a = lowrank_noise(120, 100, 3, 0.2, np.random.default_rng(181))
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    cfg = cur.CurConfig(k=2, epsilon=0.5, fidelity="heuristic")
+    dec = cur.decompose(x, cfg, np.random.default_rng(0))
+    calls = []
+    real = linalg.frobenius_sq
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "frobenius_sq", counting)
+    rep = cur.evaluate(x, dec)
+    assert [s for s in calls if s == a.shape] == [a.shape]  # not U's probe
+    assert rep.err_sq == cur.cur_error_sq(x, dec)
+    assert rep.opt_sq == cur.optimal_residual_sq(x, 2)
 
 
 @pytest.mark.parametrize("variant", cur.VARIANTS)

@@ -269,7 +269,8 @@ def test_span_restricted_matches_subspace_oracle(rng):
     res = span_restricted_residual_sq(a, c, 2)
     from optcur import subspace
     sf = subspace.best_subspace_svd(a, c, 2)
-    direct = np.sum((a - sf.project(a)) ** 2)
+    b = sf.Y @ sf.Delta  # Pi_{C,k}(A) = B B^T A
+    direct = np.sum((a - b @ (b.T @ a)) ** 2)
     assert res == pytest.approx(direct, abs=1e-9)
 
 
@@ -412,3 +413,54 @@ def test_linalg_error_exits_3(tmp_path, monkeypatch):
     assert run_cli(["decompose", "--input", inp, "--rank", "2",
                     "--epsilon", "1.0", "--fidelity", "heuristic",
                     "--out-dir", tmp_path / "out"]) == 3
+
+
+SUITE_ENTRY = {"input": None, "rank": 2, "epsilon": 1.0,
+               "variant": "linear", "fidelity": "heuristic"}
+
+
+@pytest.mark.parametrize("case", ["decompose-0", "decompose-neg", "bench-0",
+                                  "no-input", "no-rank", "no-epsilon"])
+def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
+    # a trial count below 1 and a suite entry without a required key are
+    # argument errors: exit 2, and nothing runs or is written
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    if case.startswith("decompose"):
+        trials = "0" if case == "decompose-0" else "-3"
+        assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                        "--epsilon", "1.0", "--fidelity", "heuristic",
+                        "--trials", trials, "--out-dir", out]) == 2
+        assert not out.exists()
+        return
+    good = dict(SUITE_ENTRY, input=str(inp))
+    if case == "bench-0":
+        entries = [dict(good, trials=0)]
+    else:
+        bad = dict(good)
+        del bad[case[len("no-"):]]
+        entries = [good, bad]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(entries))
+    assert run_cli(["bench", "--suite", suite]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_public_surface():
+    # a public name added or dropped shows here as a reviewed diff
+    import optcur
+    assert sorted(optcur.__all__) == [
+        "AdversarialInstance", "CurConfig", "CurDecomposition", "DenseMatrix",
+        "EvalReport", "FactorZ", "MatrixMarketError", "NumericalError",
+        "QrFactorization", "SamplingPair", "SignSketch", "SparseEmbedding",
+        "SparseMatrix", "SubspaceFactor", "SvdFactorization",
+        "WeightedSelection", "adaptive", "adaptive_cols",
+        "adaptive_cols_sparse", "adaptive_rows_d", "approx_subspace_svd",
+        "approx_svd", "audit", "best_subspace_svd",
+        "brute_force_best_columns", "bss_sampling", "bss_sampling_sparse",
+        "cur", "cur_deterministic", "cur_input_sparsity", "cur_linear_time",
+        "decompose", "deterministic_svd", "evaluate", "frobenius_sq",
+        "gen_adversarial", "instances", "linalg", "make_sse", "mmio", "pinv",
+        "qr", "rand_sampling", "randomized_svd", "rank_constrained_u",
+        "read_matrix", "sketch", "sparse_svd", "subset_select", "subspace",
+        "svd", "truncate", "write_matrix"]

@@ -18,6 +18,16 @@ from optcur.instances import gen_adversarial
 from conftest import lowrank_noise, random_orthonormal
 
 
+def probed_rank(a):
+    """The rank read off the range probe, as `cur.evaluate` reads rank(U)."""
+    b = linalg._range_probe(a)[1]
+    return linalg._rank(linalg.singular_values(b), b.shape)
+
+
+def spectral_norm(a):
+    return linalg._top_k(a, 1)[0]
+
+
 # ---------------------------------------------------------------------------
 # matrix types
 
@@ -35,9 +45,19 @@ def test_dense_matrix_immutable_and_shape():
     assert m.nnz == 4
     with pytest.raises(ValueError):
         m.data[0, 0] = 9.0
-    assert np.array_equal(m.row(1), [3.0, 4.0])
-    assert np.array_equal(m.col(0), [1.0, 3.0])
-    assert np.array_equal(m.matvec(np.array([1.0, 0.0])), [1.0, 3.0])
+
+
+def test_dense_matrix_array_copy():
+    m = linalg.DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
+    # np.array copies: a writable array apart from the immutable buffer
+    x = np.array(m)
+    assert x is not m.data and x.flags.writeable
+    x[0, 0] = 9.0
+    assert m.data[0, 0] == 1.0
+    assert np.array(m, dtype=np.float32).flags.writeable
+    # np.asarray and as_array keep the buffer itself, without a copy
+    assert np.asarray(m) is m.data
+    assert linalg.as_array(m) is m.data
 
 
 def test_sparse_matrix_csr_invariants():
@@ -51,9 +71,6 @@ def test_sparse_matrix_csr_invariants():
     for i in range(2):
         row_cols = m.csr.indices[m.csr.indptr[i]:m.csr.indptr[i + 1]]
         assert np.all(np.diff(row_cols) > 0)
-    assert np.array_equal(m.row(0), [0.0, 2.0, 0.0])
-    assert np.array_equal(m.col(0), [0.0, 1.0])
-    assert np.array_equal(m.matvec(np.ones(3)), [2.0, 1.0])
     # stored zeros are dropped
     coo = scipy.sparse.coo_matrix(([0.0, 1.0], ([0, 1], [0, 1])), (2, 2))
     assert linalg.SparseMatrix(coo.tocsr()).nnz == 1
@@ -126,7 +143,7 @@ def test_singular_values_match_numpy(rng, shape, rank):
     assert np.allclose(s, expected, rtol=0.0,
                        atol=1e-12 * max(expected.max(initial=0.0), 1.0))
     # the values-only path applies the same rank rule as the trimmed SVD
-    assert linalg.svd(a).rank == rank == linalg.numerical_rank(a)
+    assert linalg.svd(a).rank == rank == probed_rank(a)
 
 
 def test_singular_values_failure_is_numerical_error(monkeypatch):
@@ -255,10 +272,10 @@ def test_qr_requires_tall():
 
 def test_norms_zero_and_diagonal():
     assert linalg.frobenius_sq(np.zeros((3, 2))) == 0.0
-    assert linalg.spectral_norm(np.zeros((3, 2))) == 0.0
+    assert spectral_norm(np.zeros((3, 2))) == 0.0
     d = np.diag([3.0, 4.0])
     assert linalg.frobenius_sq(d) == 25.0
-    assert linalg.spectral_norm(d) == 4.0
+    assert spectral_norm(d) == 4.0
 
 
 def test_norms_match_svd_oracle(rng):
@@ -266,7 +283,7 @@ def test_norms_match_svd_oracle(rng):
     f = linalg.svd(a)
     assert linalg.frobenius_sq(a) == pytest.approx(np.sum(f.sigma ** 2),
                                                    rel=1e-12)
-    assert linalg.spectral_norm(a) == pytest.approx(f.sigma[0], rel=1e-12)
+    assert spectral_norm(a) == pytest.approx(f.sigma[0], rel=1e-12)
 
 
 def test_norms_sparse_agree_with_dense(rng):
@@ -275,8 +292,8 @@ def test_norms_sparse_agree_with_dense(rng):
     dense = csr.toarray()
     assert linalg.frobenius_sq(csr) == pytest.approx(
         linalg.frobenius_sq(dense), rel=1e-12)
-    assert linalg.spectral_norm(csr) == pytest.approx(
-        linalg.spectral_norm(dense), rel=1e-9)
+    assert spectral_norm(csr) == pytest.approx(
+        spectral_norm(dense), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +311,11 @@ def test_apply_right_pinv_matches_direct(rng):
     assert np.allclose(linalg.apply_right_pinv(g, r_def), direct, atol=1e-9)
 
 
-def test_numerical_rank_small_and_probed(rng):
+def test_range_probe_rank_small_and_probed(rng):
     a = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 150))
-    assert linalg.numerical_rank(a) == 3
-    assert linalg.numerical_rank(np.zeros((100, 100))) == 0
-    assert linalg.numerical_rank(rng.standard_normal((6, 5))) == 5
+    assert probed_rank(a) == 3
+    assert probed_rank(np.zeros((100, 100))) == 0
+    assert probed_rank(rng.standard_normal((6, 5))) == 5
 
 
 @pytest.mark.parametrize("seed", [3, 5, 9, 10])
@@ -323,10 +340,10 @@ def test_rank_helpers_use_values_only_svd(rng, monkeypatch):
         raise AssertionError("singular vectors are not needed")
 
     monkeypatch.setattr(linalg, "svd", no_vectors)
-    assert linalg.numerical_rank(a) == 3
-    assert linalg.numerical_rank(np.zeros((100, 100))) == 0
-    assert linalg.numerical_rank(small) == 5
-    assert linalg.spectral_norm(small) == pytest.approx(
+    assert probed_rank(a) == 3
+    assert probed_rank(np.zeros((100, 100))) == 0
+    assert probed_rank(small) == 5
+    assert spectral_norm(small) == pytest.approx(
         np.linalg.norm(small, 2), rel=1e-12)
 
 
@@ -356,13 +373,13 @@ def test_solve_upper_rank_aware_singular_is_minimum_norm(rng):
 # the top-k helper
 
 
-def test_spectral_norm_repeatable_on_csr():
+def test_top_k_repeatable_on_csr():
     csr = scipy.sparse.random(300, 200, density=0.05, random_state=7,
                               format="csr")
-    bits = {np.float64(linalg.spectral_norm(csr)).tobytes()
+    bits = {np.float64(spectral_norm(csr)).tobytes()
             for _ in range(5)}
     assert len(bits) == 1
-    assert linalg.spectral_norm(csr) == pytest.approx(
+    assert spectral_norm(csr) == pytest.approx(
         np.linalg.norm(csr.toarray(), 2), rel=1e-12)
 
 
@@ -413,4 +430,4 @@ def test_top_k_all_zero_operand(kind, monkeypatch):
     s, v = linalg._top_k(x, 3, vectors=True)
     assert np.array_equal(s, np.zeros(3))
     assert np.array_equal(v, np.eye(420, 3))
-    assert linalg.spectral_norm(x) == 0.0
+    assert spectral_norm(x) == 0.0

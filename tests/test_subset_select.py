@@ -20,14 +20,14 @@ from conftest import random_orthonormal
 def test_rand_sampling_single_nonzero_row():
     x = np.zeros((6, 2))
     x[3] = [1.0, 2.0]
-    pair = rand_sampling(x, 4, 1.0, np.random.default_rng(0))
+    pair = rand_sampling(x, 4, np.random.default_rng(0))
     assert np.all(pair.indices == 3)
     assert np.allclose(pair.scales, 1.0 / np.sqrt(4))
 
 
 def test_rand_sampling_probability_formula(rng):
     x = rng.standard_normal((10, 3))
-    pair = rand_sampling(x, 5, 1.0, rng)
+    pair = rand_sampling(x, 5, rng)
     lev = np.sum(x * x, axis=1)
     assert np.allclose(pair.probs, lev / lev.sum(), rtol=1e-12)
     assert np.allclose(pair.scales,
@@ -36,8 +36,8 @@ def test_rand_sampling_probability_formula(rng):
 
 def test_rand_sampling_reproducible(rng):
     x = rng.standard_normal((20, 2))
-    p1 = rand_sampling(x, 8, 1.0, np.random.default_rng(5))
-    p2 = rand_sampling(x, 8, 1.0, np.random.default_rng(5))
+    p1 = rand_sampling(x, 8, np.random.default_rng(5))
+    p2 = rand_sampling(x, 8, np.random.default_rng(5))
     assert np.array_equal(p1.indices, p2.indices)
     assert np.array_equal(p1.scales, p2.scales)
 
@@ -49,7 +49,7 @@ def test_rand_sampling_frequencies_chi2(rng):
     counts = np.zeros(200, dtype=int)
     probs = None
     for _ in range(500):
-        pair = rand_sampling(x, 200, 1.0, gen)
+        pair = rand_sampling(x, 200, gen)
         counts += np.bincount(pair.indices, minlength=200)
         probs = pair.probs
     _, pvalue = scipy.stats.chisquare(counts, probs * counts.sum())
@@ -64,7 +64,7 @@ def test_rand_sampling_leverage_singular_value_floor():
     r = int(np.ceil(16.0 * k * np.log(20.0 * k)))
     hits = 0
     for seed in range(100):
-        pair = rand_sampling(v, r, 1.0, np.random.default_rng(seed))
+        pair = rand_sampling(v, r, np.random.default_rng(seed))
         s = np.linalg.svd(pair.pick_rows(v), compute_uv=False)
         hits += s[k - 1] ** 2 >= 0.5
     assert hits >= 85
@@ -78,35 +78,22 @@ def test_rand_sampling_frobenius_inflation():
     fro = np.sum(y * y)
     hits = 0
     for seed in range(100):
-        pair = rand_sampling(x, 20, 1.0, np.random.default_rng(seed))
+        pair = rand_sampling(x, 20, np.random.default_rng(seed))
         yod = y[:, pair.indices] * pair.scales
         hits += np.sum(yod * yod) <= 10.0 * fro
     assert hits >= 85
 
 
-def test_rand_sampling_caller_distribution_beta_floor(rng):
-    x = rng.standard_normal((6, 2))
-    lev = np.sum(x * x, axis=1)
-    lev /= lev.sum()
-    good = 0.5 * lev + 0.5 / 6  # mixture respects the beta = 0.5 floor
-    pair = rand_sampling(x, 4, 0.5, rng, probs=good)
-    assert np.allclose(pair.probs, good)
-    bad = np.zeros(6)
-    bad[np.argmin(lev)] = 1.0
-    with pytest.raises(ValueError):
-        rand_sampling(x, 4, 0.5, rng, probs=bad)
-
-
 def test_rand_sampling_argument_errors(rng):
     with pytest.raises(ValueError):
-        rand_sampling(np.zeros((5, 2)), 3, 1.0, rng)  # all-zero
+        rand_sampling(np.zeros((5, 2)), 3, rng)  # all-zero
     x = rng.standard_normal((5, 2))
     with pytest.raises(ValueError):
-        rand_sampling(x, 0, 1.0, rng)
+        rand_sampling(x, 0, rng)
     with pytest.raises(ValueError):
-        rand_sampling(x, 6, 1.0, rng)
+        rand_sampling(x, 6, rng)
     with pytest.raises(ValueError):
-        rand_sampling(x.T, 2, 1.0, rng)  # n <= k
+        rand_sampling(x.T, 2, rng)  # n <= k
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +124,9 @@ def test_bss_nonzero_count_bounded(rng):
     v = random_orthonormal(25, 3, rng)
     a = rng.standard_normal((25, 7))
     sel = bss_sampling(v, a, 8)
-    assert len(sel.nonzero_indices()) <= 8
-    assert np.all(sel.weights >= 0)
+    idx, w = sel.stepped()
+    assert np.unique(idx).size <= 8
+    assert np.all(w >= 0)
     assert len(sel.steps) == 8
 
 
@@ -163,16 +151,7 @@ def test_bss_identity_rows_cover_support(rng):
     support = [1, 4, 7]
     v[support, range(k)] = 1.0
     sel = bss_sampling(v, rng.standard_normal((n, 2)), 2 * k)
-    assert set(support) <= set(sel.nonzero_indices().tolist())
-
-
-def test_bss_selection_matrix_consistency(rng):
-    v = random_orthonormal(15, 2, rng)
-    a = rng.standard_normal((15, 4))
-    sel = bss_sampling(v, a, 5)
-    s = sel.selection_matrix()
-    assert s.shape == (15, 5)
-    assert np.allclose(s.T @ v, sel.pick_rows(v))
+    assert set(support) <= set(sel.stepped()[0].tolist())
 
 
 def test_bss_deterministic(rng):
@@ -180,7 +159,6 @@ def test_bss_deterministic(rng):
     a = rng.standard_normal((20, 3))
     s1 = bss_sampling(v, a, 6)
     s2 = bss_sampling(v, a, 6)
-    assert np.array_equal(s1.weights, s2.weights)
     assert s1.steps == s2.steps
 
 
