@@ -6,8 +6,7 @@ plus the sampling, sketching, and subspace primitives they are built from.
 """
 
 from .linalg import (DenseMatrix, SparseMatrix, SvdFactorization,
-                     QrFactorization, NumericalError, svd, truncate, pinv, qr,
-                     frobenius_sq)
+                     NumericalError, svd, truncate, pinv, frobenius_sq)
 from .sketch import SparseEmbedding, SignSketch, make_sse
 from .approx_svd import FactorZ, deterministic_svd, randomized_svd, sparse_svd
 from .subset_select import (SamplingPair, WeightedSelection, rand_sampling,

@@ -23,7 +23,7 @@ class FactorZ:
     Z: np.ndarray  # n x k, orthonormal columns
 
 
-def deterministic_svd(a, k, eps):
+def deterministic_svd(a, k):
     """Z = top-k right singular vectors; deterministic, meets the bound with eps=0."""
     s, v = _top_k(a, k + 1, vectors=True)
     if not 1 <= k < linalg._rank(s, np.shape(a)):

@@ -13,6 +13,7 @@ import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,10 +46,13 @@ class CurConfig:
     xi_u: int = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in (0, 1]")
+        if (isinstance(self.k, bool) or not isinstance(self.k, Integral)
+                or self.k < 1):
+            raise ValueError("k must be an integer >= 1")
+        if (isinstance(self.epsilon, bool)
+                or not isinstance(self.epsilon, Real)
+                or not 0.0 < self.epsilon <= 1.0):
+            raise ValueError("epsilon must be a real number in (0, 1]")
         if self.variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
         if self.fidelity not in ("paper", "heuristic"):
@@ -214,7 +218,7 @@ def _side(a, z, slots, h, r1, r2, rng, diag):
 
     The first stage compresses to r1 weighted columns, drawing again while it
     reports a rank loss; adaptive sampling then adds r2 raw columns.  Returns
-    the indices, their scales and the scaled first-stage columns.
+    the indices and their scales.
     """
     az = _matmul(a, z)
     for _ in range(_RETRIES + 1):
@@ -227,7 +231,7 @@ def _side(a, z, slots, h, r1, r2, rng, diag):
     scaled, idx, scales = stage
     extra = slots.adapt(a, z, scaled, r2, rng)
     return (np.concatenate([idx, extra]),
-            np.concatenate([scales, np.ones(len(extra))]), scaled)
+            np.concatenate([scales, np.ones(len(extra))]))
 
 
 def _distinct(idx, scales):
@@ -271,9 +275,8 @@ def _pipeline(a, cfg, rng, variant):
     with _timed(diag, "approx_svd"):
         z1 = slots.factor(a, k, rng)
     with _timed(diag, "columns"):
-        col_idx, col_scales, c1_scaled = _side(
+        col_idx, col_scales = _side(
             a, z1, slots, cfg.h1_val, cfg.c1_val, cfg.c2_val, rng, diag)
-        diag["c1_residual_sq"] = _proj_residual_sq(a, c1_scaled)
 
     # Repeated draws add no direction: the core Z2 and the intersection are
     # computed on the distinct raw columns and rows, so no factorization
@@ -291,7 +294,7 @@ def _pipeline(a, cfg, rng, variant):
         z2 = sf.Y @ sf.Delta  # orthonormal, and C~ M = Z2
 
     with _timed(diag, "rows"):
-        row_idx, row_scales, _ = _side(
+        row_idx, row_scales = _side(
             a.T, z2, slots, cfg.h2_val, cfg.r1_val, cfg.r2_val, rng, diag)
         rows, row_pos, row_w = _distinct(row_idx, row_scales)
         diag["distinct_rows"] = int(rows.size)
@@ -318,12 +321,6 @@ def _pipeline(a, cfg, rng, variant):
         C=c_raw[:, col_pos], U=u, R=r_raw[row_pos], k=k, diagnostics=diag)
 
 
-def _proj_residual_sq(a, v):
-    """||A - V V^+ A||_F^2 without forming the residual."""
-    proj = _matmul(linalg.orthonormal_basis(v).T, a)
-    return linalg.frobenius_sq(a) - float(np.sum(proj * proj))
-
-
 def cur_linear_time(a, cfg, rng=None):
     """Randomized linear-time CUR: leverage sampling + dual-set compression +
     adaptive sampling on both sides, exact subspace-restricted rank-k core."""
@@ -345,7 +342,7 @@ def deterministic_column_stage(a, k, c1):
     """The BSS column stage of the deterministic pipeline: Z1 from the exact
     rank-k factor, dual set = residual columns, c1 weighted picks."""
     a = as_array(a)
-    z1 = deterministic_svd(a, k, 1.0).Z
+    z1 = deterministic_svd(a, k).Z
     return _exact_bss_cols(a, z1, a @ z1, c1)
 
 

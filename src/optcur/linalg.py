@@ -1,7 +1,7 @@
 """Dense/sparse input types and the exact factorization layer.
 
 Everything downstream (sketches, subset selection, the CUR pipelines) is
-measured against the operations here: exact SVD, QR, Moore-Penrose
+measured against the operations here: exact SVD, Moore-Penrose
 pseudo-inverse, best rank-k truncation, and norms.  DenseMatrix and
 SparseMatrix are validated, immutable input types; operations are pure and
 return plain ndarrays.
@@ -155,12 +155,6 @@ class SvdFactorization:
         return self.sigma.shape[0]
 
 
-@dataclass(frozen=True)
-class QrFactorization:
-    Q: np.ndarray  # m x c, orthonormal columns
-    R_tri: np.ndarray  # c x c, upper triangular
-
-
 def _lapack_svd(a, **kw):
     """scipy's SVD by gesdd, retried with gesvd; NumericalError if both fail."""
     try:
@@ -244,16 +238,6 @@ def pinv(a):
     return (f.V_A / f.sigma) @ f.U_A.T
 
 
-def qr(a):
-    """Economy QR; requires m >= c.  R_tri may be singular for rank-deficient input."""
-    a = as_array(a)
-    m, c = a.shape
-    if m < c:
-        raise ValueError("qr requires at least as many rows as columns")
-    q, r = scipy.linalg.qr(a, mode="economic")
-    return QrFactorization(q, r)
-
-
 def frobenius_sq(a):
     """||A||_F^2, summed without an m x n temporary by einsum, which runs on
     one thread, so the bits do not depend on the BLAS thread count."""
@@ -267,12 +251,33 @@ def orthonormal_basis(a):
     return svd(a).U_A
 
 
+def _basis(v, width=0):
+    """(Y, rho, solve) for an m x c ndarray V: the first rho = rank(V) of the
+    orthonormal columns of Y span range(V), and solve(X) = V^+ Y[:, :rho] X
+    for X with rho rows.  Y has c columns when rho = c, and otherwise
+    max(rho, width), for width <= min(m, c).
+
+    One economy QR V = Q T.  When m >= c and the diagonal of T shows full
+    rank, Y = Q and solve is one triangular solve.  Otherwise one SVD
+    T = U S W^T gives Y = Q U and solve(X) = W S^-1 X over the first rho.
+    One cutoff serves both tests: a diagonal entry or a singular value
+    counts when it exceeds max(m, c) * RANK_RTOL times the largest.
+    """
+    m, c = v.shape
+    q, t = scipy.linalg.qr(v, mode="economic")
+    d = np.abs(np.diag(t))
+    if m >= c and d.min() > max(m, c) * d.max() * RANK_RTOL:
+        return q, c, lambda x: scipy.linalg.solve_triangular(t, x)
+    u, s, wt = _lapack_svd(t, full_matrices=False)
+    rho = _rank(s, v.shape)
+    w = wt[:rho].T / s[:rho]
+    return q @ u[:, :max(rho, width)], rho, lambda x: w @ x
+
+
 def apply_right_pinv(g, r):
-    """G R^+ via one economy QR of R^T: with R^T = Q T, G R^+ = (G Q) (T^+)^T."""
-    g = np.asarray(g)
-    r = np.asarray(r)
-    q, t = scipy.linalg.qr(r.T, mode="economic")
-    return solve_upper_rank_aware(t, (g @ q).T, scale=max(r.shape)).T
+    """G R^+ = solve((G Y)^T)^T, with (Y, rho, solve) = _basis(R^T)."""
+    y, _, solve = _basis(np.asarray(r).T)
+    return solve((np.asarray(g) @ y).T).T
 
 
 def _range_probe(a, probe=8, seed=12345):
@@ -291,22 +296,3 @@ def _range_probe(a, probe=8, seed=12345):
             return q, b
         width *= 4
     return np.eye(m), a
-
-
-def _full_rank_triangle(t, scale):
-    """Whether the diagonal of the triangular t shows full numerical rank:
-    every entry above scale * RANK_RTOL times the largest."""
-    d = np.abs(np.diag(t))
-    return d.size == 0 or d.min() > scale * d.max() * RANK_RTOL
-
-
-def solve_upper_rank_aware(psi, b, scale=None):
-    """Minimum-norm X with Psi X = B for upper-triangular Psi, assuming B lies
-    in range(Psi).  A triangular solve when the diagonal of Psi shows full
-    rank at the cutoff scale * RANK_RTOL (scale defaults to the order of
-    Psi); pinv(Psi) B otherwise."""
-    psi = np.asarray(psi)
-    b = np.asarray(b)
-    if _full_rank_triangle(psi, psi.shape[0] if scale is None else scale):
-        return scipy.linalg.solve_triangular(psi, b, lower=False)
-    return pinv(psi) @ b

@@ -10,7 +10,6 @@ solves min_{rank(U) <= k} ||A - C U R||_F in closed form.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse.linalg import aslinearoperator
 
 from . import linalg
@@ -20,12 +19,11 @@ from .sketch import make_sse, apply_sse_compressed
 
 @dataclass(frozen=True)
 class SubspaceFactor:
-    """(Y, Psi, Delta, M): V = Y Psi with Y orthonormal, Delta the top-k left
-    singular directions of the (possibly sketched) coefficients Y^T A, and M
-    the minimum-norm map with V M = Y Delta."""
+    """(Y, Delta, M): Y orthonormal with range(V) in its span, Delta the
+    top-k left singular directions of the (possibly sketched) coefficients
+    Y^T A, and M the minimum-norm map with V M = Y Delta."""
 
-    Y: np.ndarray  # m x p, orthonormal columns; p = c when V has full rank
-    Psi: np.ndarray  # p x c, upper triangular when V has full rank
+    Y: np.ndarray  # m x p, orthonormal columns; p = c when rank(V) = c
     Delta: np.ndarray  # p x k, orthonormal columns
     M: np.ndarray  # c x k, pinv(V) Y Delta
     sketched: bool = False
@@ -42,27 +40,19 @@ def _exact_delta(a, y, k):
 def _factor(a, v, k, top_k):
     """The SubspaceFactor of V, with (Delta, sketched) = top_k(A, Y).
 
-    One economy QR V = Q T.  When the diagonal of T shows rank loss, one SVD
-    T = U S W^T of the c x c triangle narrows Y to Q U: its first rho columns
-    span V, further ones (up to k, only when rank(V) < k) are zeroed for
-    top_k, so get zero coefficients, and M = W S^-1 Delta over the first rho.
+    Y, rank rho and the solve come from `linalg._basis(V, k)`.  When
+    rho < c, the first rho columns of Y span V, further ones (up to k, only
+    when rank(V) < k) are zeroed for top_k, so get zero coefficients, and
+    M = solve(Delta) over the first rho rows.
     """
     v = as_array(v)
     c = v.shape[1]
     if not 1 <= k < c:
         raise ValueError("need 1 <= k < c")
-    f = linalg.qr(v)
-    if linalg._full_rank_triangle(f.R_tri, c):
-        delta, sketched = top_k(a, f.Q)
-        m = scipy.linalg.solve_triangular(f.R_tri, delta, lower=False)
-        return SubspaceFactor(f.Q, f.R_tri, delta, m, sketched)
-    u, s, wt = linalg._lapack_svd(f.R_tri)
-    rho = linalg._rank(s, f.R_tri.shape)
-    p = max(rho, k)
-    y = f.Q @ u[:, :p]
-    delta, sketched = top_k(a, y * (np.arange(p) < rho))
-    m = (wt[:rho].T / s[:rho]) @ delta[:rho]
-    return SubspaceFactor(y, s[:p, None] * wt[:p], delta, m, sketched)
+    y, rho, solve = linalg._basis(v, k)
+    p = y.shape[1]
+    delta, sketched = top_k(a, y if rho == p else y * (np.arange(p) < rho))
+    return SubspaceFactor(y, delta, solve(delta[:rho]), sketched)
 
 
 def best_subspace_svd(a, v, k):

@@ -33,30 +33,30 @@ def opt_sq(a, k):
 
 def test_deterministic_diagonal_picks_dominant_axis():
     a = np.diag([1.0, 5.0, 2.0])
-    z = deterministic_svd(a, 1, 0.0).Z
+    z = deterministic_svd(a, 1).Z
     assert np.allclose(np.abs(z.ravel()), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_deterministic_exact_rank_k(rng):
     a = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 15))
     # k = rank is rejected; k just below rank leaves the smallest direction
-    z = deterministic_svd(a, 3, 0.0).Z
+    z = deterministic_svd(a, 3).Z
     s = np.linalg.svd(a, compute_uv=False)
     assert proj_residual_sq(a, z) == pytest.approx(s[3] ** 2, rel=1e-9)
 
 
 def test_deterministic_bound_vs_oracle(rng):
     a = lowrank_noise(50, 40, 6, 0.3, rng)
-    z = deterministic_svd(a, 3, 0.0).Z
+    z = deterministic_svd(a, 3).Z
     assert proj_residual_sq(a, z) <= (1.0 + 1e-12) * opt_sq(a, 3)
 
 
 def test_deterministic_rejects_k_at_rank(rng):
     a = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
     with pytest.raises(ValueError):
-        deterministic_svd(a, 3, 0.0)
+        deterministic_svd(a, 3)
     with pytest.raises(ValueError):
-        deterministic_svd(a, 0, 0.0)
+        deterministic_svd(a, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_residual_never_beats_svd(mode, rng):
     a = lowrank_noise(30, 24, 4, 0.4, rng)
     k = 3
     if mode == "deterministic":
-        z = deterministic_svd(a, k, 0.5).Z
+        z = deterministic_svd(a, k).Z
     elif mode == "randomized":
         z = randomized_svd(a, k, 0.5, np.random.default_rng(7)).Z
     else:

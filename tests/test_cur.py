@@ -22,6 +22,13 @@ def reconstructible(a, dec):
     return cols_ok and rows_ok and in_range
 
 
+def first_stage_residual_sq(a, dec, cfg):
+    """||A - P A||_F^2, P the projector onto the first-stage columns: the
+    first c1 indices of the decomposition."""
+    q = linalg.orthonormal_basis(a[:, dec.col_indices[:cfg.c1_val]])
+    return linalg.frobenius_sq(a - q @ (q.T @ a))
+
+
 def sparse_instance(m, n, density, rank, seed):
     base = scipy.sparse.random(m, n, density=density, random_state=seed,
                                format="csr")
@@ -63,6 +70,14 @@ def test_config_validation():
         cur.CurConfig(k=2, epsilon=0.5, variant="other")
     with pytest.raises(ValueError):
         cur.CurConfig(k=2, epsilon=0.5, fidelity="exact")
+    # k an integer and epsilon a real number, neither a bool; numpy scalars
+    # of those kinds are accepted
+    for k, eps in [("2", 0.5), (2.5, 0.5), (2.0, 0.5), (True, 0.5),
+                   (2, "0.5"), (2, True)]:
+        with pytest.raises(ValueError):
+            cur.CurConfig(k=k, epsilon=eps)
+    cfg = cur.CurConfig(k=np.int64(2), epsilon=np.float64(0.5))
+    assert cfg.c_total == cur.CurConfig(k=2, epsilon=0.5).c_total
 
 
 def test_config_overrides():
@@ -93,7 +108,7 @@ def test_deterministic_bound_and_structure():
     assert reconstructible(a, dec)
     assert rep.c == cfg.c_total and rep.r == cfg.r_total
     # component bound after the first column stage
-    assert dec.diagnostics["c1_residual_sq"] <= 10.0 * rep.opt_sq + 1e-9
+    assert first_stage_residual_sq(a, dec, cfg) <= 10.0 * rep.opt_sq + 1e-9
 
 
 def test_deterministic_exact_rank_k(rng):
@@ -194,7 +209,7 @@ def test_linear_c1_component_bound_monte_carlo():
     hits = 0
     for seed in range(100):
         dec = cur.cur_linear_time(a, cfg, np.random.default_rng(seed))
-        hits += dec.diagnostics["c1_residual_sq"] <= 1620.0 * opt
+        hits += first_stage_residual_sq(a, dec, cfg) <= 1620.0 * opt
     assert hits >= 60
 
 
@@ -431,6 +446,24 @@ def test_rank_deficient_triangles_factored_once(monkeypatch):
     assert len(set(seen)) == len(seen)
     monkeypatch.undo()
     assert cur.evaluate(a, dec).exact
+
+
+@pytest.mark.parametrize("variant", ["linear", "sparse"])
+@pytest.mark.parametrize("wide", [True, False])
+def test_more_distinct_draws_than_the_other_side(variant, wide):
+    # with c1 + c2 > m (or r1 + r2 > n) the distinct columns of a 40 x 100
+    # input (rows of its transpose) can outnumber its rows
+    over = dict(c1=8, c2=60, r1=8, r2=20)
+    a = lowrank_noise(40, 100, 5, 0.1, np.random.default_rng(173))
+    if not wide:
+        a = a.T
+        over = dict(c1=8, c2=20, r1=8, r2=60)
+    cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
+                        fidelity="heuristic", **over)
+    dec = cur.decompose(a, cfg, np.random.default_rng(0))
+    rep = cur.evaluate(a, dec)
+    assert reconstructible(a, dec)
+    assert rep.rank_u <= 2 and rep.ratio <= 1.0 + 20 * 0.5
 
 
 def _spectrum_instance(m, n, sigma, rng):

@@ -446,13 +446,25 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("key,value", [("rank", "2"), ("rank", 2.5),
+                                       ("epsilon", "0.5")])
+def test_mistyped_suite_entry_exits_2(tmp_path, capsys, key, value):
+    # a rank that is not an integer or an epsilon that is not a number is
+    # an argument error, not a traceback
+    suite = tmp_path / "suite.json"
+    entry = dict(SUITE_ENTRY, input=str(write_test_matrix(tmp_path)))
+    suite.write_text(json.dumps([dict(entry, **{key: value})]))
+    assert run_cli(["bench", "--suite", suite]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_public_surface():
     # a public name added or dropped shows here as a reviewed diff
     import optcur
     assert sorted(optcur.__all__) == [
         "AdversarialInstance", "CurConfig", "CurDecomposition", "DenseMatrix",
         "EvalReport", "FactorZ", "MatrixMarketError", "NumericalError",
-        "QrFactorization", "SamplingPair", "SignSketch", "SparseEmbedding",
+        "SamplingPair", "SignSketch", "SparseEmbedding",
         "SparseMatrix", "SubspaceFactor", "SvdFactorization",
         "WeightedSelection", "adaptive", "adaptive_cols",
         "adaptive_cols_sparse", "adaptive_rows_d", "approx_subspace_svd",
@@ -461,6 +473,6 @@ def test_public_surface():
         "cur", "cur_deterministic", "cur_input_sparsity", "cur_linear_time",
         "decompose", "deterministic_svd", "evaluate", "frobenius_sq",
         "gen_adversarial", "instances", "linalg", "make_sse", "mmio", "pinv",
-        "qr", "rand_sampling", "randomized_svd", "rank_constrained_u",
+        "rand_sampling", "randomized_svd", "rank_constrained_u",
         "read_matrix", "sketch", "sparse_svd", "subset_select", "subspace",
         "svd", "truncate", "write_matrix"]

@@ -1,4 +1,5 @@
-"""Matrix-core oracle tests: SVD, truncation, pseudo-inverse, QR, norms.
+"""Matrix-core oracle tests: SVD, truncation, pseudo-inverse, the
+rank-revealing basis, norms.
 
 Every factorization here is the oracle the rest of the suite is measured
 against, so these tests compare against independent computations (entrywise
@@ -236,37 +237,6 @@ def test_pinv_moore_penrose_identities(m, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# qr
-
-
-def test_qr_identity():
-    f = linalg.qr(np.eye(3))
-    assert np.allclose(f.Q, np.eye(3))
-    assert np.allclose(f.R_tri, np.eye(3))
-
-
-def test_qr_orthonormal_input(rng):
-    q0 = random_orthonormal(7, 3, rng)
-    f = linalg.qr(q0)
-    # Q equals the input up to per-column sign; R is that sign diagonal
-    assert np.allclose(np.abs(np.diag(f.R_tri)), 1.0, atol=1e-12)
-    assert np.allclose(f.Q @ f.R_tri, q0, atol=1e-12)
-
-
-def test_qr_reconstruction(rng):
-    a = rng.standard_normal((8, 3))
-    f = linalg.qr(a)
-    assert np.allclose(f.Q @ f.R_tri, a, atol=1e-12)
-    assert np.allclose(f.Q.T @ f.Q, np.eye(3), atol=1e-12)
-    assert np.allclose(f.R_tri, np.triu(f.R_tri))
-
-
-def test_qr_requires_tall():
-    with pytest.raises(ValueError):
-        linalg.qr(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
 # norms
 
 
@@ -305,7 +275,7 @@ def test_apply_right_pinv_matches_direct(rng):
     r = rng.standard_normal((6, 20))
     direct = g @ np.asarray(linalg.pinv(r))
     assert np.allclose(linalg.apply_right_pinv(g, r), direct, atol=1e-10)
-    # rank-deficient R (duplicated rows) exercises the least-squares fallback
+    # rank-deficient R (duplicated rows) exercises the SVD branch of _basis
     r_def = np.vstack([r, r[:2]])
     direct = g @ np.asarray(linalg.pinv(r_def))
     assert np.allclose(linalg.apply_right_pinv(g, r_def), direct, atol=1e-9)
@@ -320,8 +290,8 @@ def test_range_probe_rank_small_and_probed(rng):
 
 @pytest.mark.parametrize("seed", [3, 5, 9, 10])
 def test_apply_right_pinv_duplicate_rows_matches_pinv(seed):
-    # an exactly repeated row makes R rank-deficient; the least-squares
-    # fallback must cut at the library's rank tolerance, not at machine
+    # an exactly repeated row makes R rank-deficient; the SVD branch of
+    # _basis must cut at the library's rank tolerance, not at machine
     # epsilon, or it keeps a rounding-error direction and blows up
     rng = np.random.default_rng(seed)
     r0 = rng.standard_normal((6, 20))
@@ -347,26 +317,64 @@ def test_rank_helpers_use_values_only_svd(rng, monkeypatch):
         np.linalg.norm(small, 2), rel=1e-12)
 
 
-def test_solve_upper_rank_aware(rng):
+def test_basis_solves_upper_triangular(rng):
     psi = np.triu(rng.standard_normal((5, 5)))
     b = rng.standard_normal((5, 3))
-    x = linalg.solve_upper_rank_aware(psi, b)
-    assert np.allclose(psi @ x, b, atol=1e-9)
+    y, rho, solve = linalg._basis(psi)
+    assert rho == 5
+    assert np.allclose(psi @ solve(y.T @ b), b, atol=1e-9)
     # singular upper-triangular: solve within range, minimum-norm
     psi_sing = psi.copy()
     psi_sing[2] = 0.0
     b_range = psi_sing @ rng.standard_normal((5, 3))
-    x = linalg.solve_upper_rank_aware(psi_sing, b_range)
-    assert np.allclose(psi_sing @ x, b_range, atol=1e-8)
+    y, rho, solve = linalg._basis(psi_sing)
+    assert np.allclose(psi_sing @ solve(y[:, :rho].T @ b_range), b_range,
+                       atol=1e-8)
 
 
-def test_solve_upper_rank_aware_singular_is_minimum_norm(rng):
+def test_basis_singular_upper_is_minimum_norm(rng):
     psi = np.triu(rng.standard_normal((6, 6)))
     psi[2, 2] = 0.0
     psi[4] = 0.0
     b = psi @ rng.standard_normal((6, 3))
-    x = linalg.solve_upper_rank_aware(psi, b)
-    assert np.allclose(x, np.linalg.pinv(psi) @ b, atol=1e-10)
+    y, rho, solve = linalg._basis(psi)
+    assert np.allclose(solve(y[:, :rho].T @ b), np.linalg.pinv(psi) @ b,
+                       atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["full_rank", "duplicate_columns", "zero",
+                                  "wide"])
+def test_basis_spans_v_and_solves_min_norm(case, monkeypatch):
+    rng = np.random.default_rng(71)
+    v = rng.standard_normal((30, 8))
+    if case == "duplicate_columns":
+        v = v[:, [0, 1, 2, 1, 3, 0, 4]]
+    elif case == "zero":
+        v = np.zeros((30, 8))
+    elif case == "wide":  # more columns than rows: T is not square
+        v = v[:6]
+    calls = []
+
+    def counting(name, real):
+        def wrapper(x, *args, **kwargs):
+            calls.append(name)
+            return real(x, *args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "qr", "lstsq"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            counting(name, getattr(scipy.linalg, name)))
+    y, rho, solve = linalg._basis(v)
+    x = v @ rng.standard_normal((v.shape[1], 3))
+    got = solve(y[:, :rho].T @ x)
+    monkeypatch.undo()
+    # one QR of V, and the triangle factored at most once
+    assert calls == (["qr"] if case == "full_rank" else ["qr", "svd"])
+    assert rho == np.linalg.matrix_rank(v)
+    y_rho = y[:, :rho]
+    assert np.allclose(y_rho.T @ y_rho, np.eye(rho), atol=1e-12)
+    assert np.allclose(y_rho @ (y_rho.T @ v), v, atol=1e-12)
+    assert np.allclose(got, np.linalg.pinv(v) @ x, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
