@@ -3,10 +3,12 @@
 Randomized variants draw indices with probabilities proportional to squared
 residual norms after projecting out an already-selected subspace.  Sparse
 variants estimate those norms from a sign-sketched residual without ever
-forming it.  Derandomized variants replace the i.i.d. draw by enumerating a
-pairwise-independent hash family over a discretized distribution and keeping
-the candidate set minimizing the true objective, which turns the expectation
-bound into a guarantee.
+forming it.  The derandomized variant replaces the i.i.d. draw by every
+member of a pairwise-independent hash family over a discretized distribution
+and keeps the first member minimizing the true objective, which turns the
+expectation bound into a guarantee.  The objective has a closed form whose
+only set-dependent term is tr(K_SS^+ H_SS) for two Gram matrices formed
+once, so the members sharing a hash coefficient are scored in one batch.
 """
 
 from dataclasses import dataclass
@@ -37,14 +39,6 @@ class DiscreteDistribution:
     grid: int  # 4n
 
 
-@dataclass(frozen=True)
-class PairwiseHashFamily:
-    """h_{a,b}(x) = ((a x + b) mod p_hash) mod range, (a, b) in Z_p^2."""
-
-    p_hash: int
-    range: int
-
-
 def _normalize(sq_norms, total_ref):
     """Residual mass to a distribution; uniform when numerically zero."""
     sq = np.clip(sq_norms, 0.0, None)
@@ -72,7 +66,7 @@ def sketched_col_distribution(a, v, rng):
     within [1/2, 3/2] w.p. 1 - 1/n, giving the 1/3 probability floor.
     """
     m, n = np.shape(a)
-    s = make_sign_sketch(jlt_rows(n, 1.0), m, rng)
+    s = make_sign_sketch(jlt_rows(n), m, rng)
     v = as_array(v)
     vpa = _matmul(linalg.pinv(v), a)
     bt = _matmul(s.S, a) - (s.S @ v) @ vpa
@@ -134,61 +128,51 @@ def _next_prime(x):
     return x
 
 
-def hash_family(n):
-    return PairwiseHashFamily(p_hash=_next_prime(4 * n), range=4 * n)
-
-
-def family_candidates(fam, disc, draws):
-    """Yield (a, b, indices): the draws of each family member, inverse-CDF
-    mapped through the discretized distribution on an exact integer grid."""
-    cum = np.cumsum(disc.counts)
-    xs = np.arange(draws, dtype=np.int64)
-    p = fam.p_hash
-    for a in range(p):
-        ax = (a * xs) % p
-        for b in range(p):
-            g = ((ax + b) % p) % fam.range
-            yield a, b, np.searchsorted(cum, g, side="right")
-
-
-def projection_objective(a, p_va, rows):
-    """||A - (V V^+ A) R^+ R||_F^2 given the precomputed P = V V^+ A and the
-    row block R, via the orthonormal row-space factor of R."""
-    a = as_array(a)
-    q = linalg.orthonormal_basis(rows.T)  # R^+ R = Q Q^T
-    aq = a @ q
-    pq = p_va @ q
-    return np.sum(a * a) - 2.0 * np.sum(aq * pq) + np.sum(pq * pq)
-
-
 def adaptive_rows_d(a, v, r1, r2):
     """Deterministic row selection with the guaranteed bound
 
         ||A - VV^+A R^+R||^2 <= ||A - VV^+A||^2 + (4 rho / r2)||A - A R1^+R1||^2
 
-    achieved by minimizing the true objective over the full hash family.
+    achieved by minimizing the true objective over the full hash family
+    h_{a,b}(x) = ((a x + b) mod p) mod 4m, (a, b) in Z_p^2, p the least prime
+    >= 4m: member (a, b) draws rows h_{a,b}(0), ..., h_{a,b}(r2 - 1) through
+    the discretized residual distribution.
+
+    With B = Q_V^T A, Q1 the row basis of R1 and E = A - A Q1 Q1^T, the
+    objective of the rows S is ||A||^2 - ||B Q1||^2 - tr(K_SS^+ H_SS), where
+    K = E E^T and H = E B^T B E^T.  So the first member in (a, b) order with
+    the strictly largest gain tr(K_SS^+ H_SS) wins.  One pass per a scores
+    its p members with one batched eigh of the K_SS; S is the sorted distinct
+    draws padded with a zero row of E, so equal sets get equal bits.  H is
+    of degree 4 in A, so A and R1 are first scaled by a power of two.
     """
     a = as_array(a)
-    r1 = as_array(r1)
-    m = a.shape[0]
+    m, n = a.shape
     if not 1 <= r2 <= m:
         raise ValueError("need 1 <= r2 <= m")
+    shift = -np.frexp(np.max(np.abs(a)))[1]
+    a, r1 = np.ldexp(a, shift), np.ldexp(as_array(r1), shift)
     dist = residual_col_distribution(a.T, r1.T)  # the rows of A - A R1^+ R1
     if dist.uniform_fallback:
         return np.arange(r2)
-    qv = linalg.orthonormal_basis(as_array(v))
-    p_va = qv @ (qv.T @ a)
-    disc = discretize(dist.p)
-    fam = hash_family(m)
-    cache = {}
+    q1 = linalg.orthonormal_basis(r1.T)
+    e = np.vstack([a - (a @ q1) @ q1.T, np.zeros((1, n))])
+    g = e @ (linalg.orthonormal_basis(as_array(v)).T @ a).T
+    k, h = e @ e.T, g @ g.T
+    cum = np.cumsum(discretize(dist.p).counts)
+    p = _next_prime(4 * m)
+    xs, bs = np.arange(r2), np.arange(p)[:, None]
     best = None
-    for ha, hb, idx in family_candidates(fam, disc, r2):
-        key = frozenset(idx.tolist())
-        val = cache.get(key)
-        if val is None:
-            rows = np.vstack([r1, a[idx]])
-            val = projection_objective(a, p_va, rows)
-            cache[key] = val
-        if best is None or val < best[0]:
-            best = (val, idx)
+    for ha in range(p):
+        draws = np.searchsorted(cum, (ha * xs + bs) % p % (4 * m), side="right")
+        s = np.sort(draws, axis=1)
+        s[:, 1:][s[:, 1:] == s[:, :-1]] = m
+        s.sort(axis=1)
+        ss = (s[:, :, None], s[:, None, :])
+        lam, w = np.linalg.eigh(k[ss])
+        lam[lam <= max(m, n) * linalg.RANK_RTOL * lam[:, -1:]] = np.inf
+        gain = np.sum(np.sum(w * (h[ss] @ w), axis=1) / lam, axis=1)
+        j = int(np.argmax(gain))
+        if best is None or gain[j] > best[0]:
+            best = (gain[j], draws[j])
     return best[1]

@@ -140,18 +140,19 @@ def cmd_gen_adversarial(args):
 def cmd_bench(args):
     with open(args.suite) as fh:
         entries = json.load(fh)
-    # every entry is checked for its required keys before any runs
+    # every entry is checked for its keys and its config before any runs
+    cfgs = []
     for i, entry in enumerate(entries):
         missing = sorted({"input", "rank", "epsilon"} - set(entry))
         if missing:
             raise ValueError("suite entry %d lacks %s" % (i, ", ".join(missing)))
+        cfgs.append(cur.CurConfig(k=entry["rank"], epsilon=entry["epsilon"],
+                                  variant=entry.get("variant", "linear"),
+                                  seed=entry.get("seed", 0),
+                                  fidelity=entry.get("fidelity", "heuristic")))
     failures = 0
-    for entry in entries:
+    for entry, cfg in zip(entries, cfgs):
         mat = mmio.read_matrix(entry["input"])
-        cfg = cur.CurConfig(k=entry["rank"], epsilon=entry["epsilon"],
-                            variant=entry.get("variant", "linear"),
-                            seed=entry.get("seed", 0),
-                            fidelity=entry.get("fidelity", "heuristic"))
         t0 = time.perf_counter()
         try:
             dec, rep, seed = _run_decompose(mat, cfg, entry.get("trials", 1))

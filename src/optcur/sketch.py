@@ -67,6 +67,6 @@ def make_sign_sketch(s, m, rng, scaled=True):
     return SignSketch(S=signs, s=int(s))
 
 
-def jlt_rows(n, beta):
-    """Sketch height preserving n squared norms within [1/2, 3/2] w.p. 1 - n^-beta."""
-    return int(np.ceil(8.0 * (4.0 + 2.0 * beta) * np.log(n)))
+def jlt_rows(n):
+    """Sketch height preserving n squared norms within [1/2, 3/2] w.p. 1 - 1/n."""
+    return int(np.ceil(48.0 * np.log(n)))

@@ -30,7 +30,6 @@ class SamplingPair:
 
     indices: np.ndarray  # r values in [0, n)
     scales: np.ndarray  # D_jj = 1 / sqrt(p_i * r)
-    probs: np.ndarray  # the distribution sampled from
 
     def pick_rows(self, x):
         """D Omega^T X: the sampled, rescaled rows of X."""
@@ -43,7 +42,6 @@ class WeightedSelection:
     """The r greedy steps of S: column j of S is sqrt(w_j) e_{i_j}."""
 
     steps: tuple  # ((index, weight_added), ...) in greedy order, rescaled
-    r: int
 
     def stepped(self):
         """(indices, sqrt-weights) of the greedy steps: S one column a step."""
@@ -70,8 +68,7 @@ def rand_sampling(x, r, rng):
         raise ValueError("all-zero matrix: sampling distribution undefined")
     p /= total
     idx = rng.choice(n, size=r, p=p)
-    return SamplingPair(indices=idx, scales=1.0 / np.sqrt(p[idx] * r),
-                        probs=p)
+    return SamplingPair(indices=idx, scales=1.0 / np.sqrt(p[idx] * r))
 
 
 def bss_sampling(v, a, r):
@@ -126,7 +123,7 @@ def bss_sampling(v, a, r):
 
     scale = shrink / r
     steps = tuple((i, t * scale) for i, t in steps)
-    return WeightedSelection(steps=steps, r=r)
+    return WeightedSelection(steps=steps)
 
 
 def bss_sampling_sparse(v, a, r, eps, rng):

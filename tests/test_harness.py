@@ -446,14 +446,19 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("key,value", [("rank", "2"), ("rank", 2.5),
-                                       ("epsilon", "0.5")])
-def test_mistyped_suite_entry_exits_2(tmp_path, capsys, key, value):
+@pytest.mark.parametrize(
+    "key,value,after_good",
+    [("rank", "2", False), ("rank", 2.5, False), ("epsilon", "0.5", False),
+     ("rank", "2", True)],
+    ids=["rank-2", "rank-2.5", "epsilon-0.5", "rank-2-after-good"])
+def test_mistyped_suite_entry_exits_2(tmp_path, capsys, key, value,
+                                      after_good):
     # a rank that is not an integer or an epsilon that is not a number is
-    # an argument error, not a traceback
+    # an argument error, not a traceback, and no entry runs before it
     suite = tmp_path / "suite.json"
     entry = dict(SUITE_ENTRY, input=str(write_test_matrix(tmp_path)))
-    suite.write_text(json.dumps([dict(entry, **{key: value})]))
+    entries = [dict(entry, **{key: value})]
+    suite.write_text(json.dumps([entry] * after_good + entries))
     assert run_cli(["bench", "--suite", suite]) == 2
     assert capsys.readouterr().out == ""
 

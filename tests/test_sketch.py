@@ -108,22 +108,22 @@ def test_apply_sse_compressed_matches_sse_product_gram(rng):
 
 
 # ---------------------------------------------------------------------------
-# sign sketch / JLT: a sign sketch of height jlt_rows(n, beta) on B (m x n)
+# sign sketch / JLT: a sign sketch of height jlt_rows(n) on B (m x n)
 
 
-def jlt(b, beta, rng):
+def jlt(b, rng):
     m, n = b.shape
-    return sketch.make_sign_sketch(sketch.jlt_rows(n, beta), m, rng).S @ b
+    return sketch.make_sign_sketch(sketch.jlt_rows(n), m, rng).S @ b
 
 
 def test_jlt_row_count_formula():
-    # beta = 1: s = ceil(8 * (4 + 2) * ln n)
-    assert sketch.jlt_rows(100, 1.0) == int(np.ceil(48.0 * np.log(100)))
+    # failure probability 1/n: s = ceil(8 * (4 + 2) * ln n)
+    assert sketch.jlt_rows(100) == int(np.ceil(48.0 * np.log(100)))
 
 
 def test_jlt_zero_matrix():
-    out = jlt(np.zeros((10, 4)), 1.0, np.random.default_rng(0))
-    assert out.shape == (sketch.jlt_rows(4, 1.0), 4)
+    out = jlt(np.zeros((10, 4)), np.random.default_rng(0))
+    assert out.shape == (sketch.jlt_rows(4), 4)
     assert np.all(out == 0.0)
 
 
@@ -137,12 +137,12 @@ def test_sign_sketch_entries():
 
 def test_jlt_column_norm_preservation():
     # all 50 column norms of a 300 x 50 matrix within [1/2, 3/2] in
-    # at least 99/100 seeds at beta = 1
+    # at least 99/100 seeds
     b = np.random.default_rng(13).standard_normal((300, 50))
     true_sq = np.sum(b * b, axis=0)
     hits = 0
     for seed in range(100):
-        sb = jlt(b, 1.0, np.random.default_rng(seed))
+        sb = jlt(b, np.random.default_rng(seed))
         ratio = np.sum(sb * sb, axis=0) / true_sq
         hits += np.all((ratio >= 0.5) & (ratio <= 1.5))
     assert hits >= 99
