@@ -8,9 +8,9 @@ plus the sampling, sketching, and subspace primitives they are built from.
 from .linalg import (DenseMatrix, SparseMatrix, SvdFactorization,
                      NumericalError, svd, truncate, pinv, frobenius_sq)
 from .sketch import SparseEmbedding, SignSketch, make_sse
-from .approx_svd import FactorZ, deterministic_svd, randomized_svd, sparse_svd
-from .subset_select import (SamplingPair, WeightedSelection, rand_sampling,
-                            bss_sampling, bss_sampling_sparse)
+from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
+from .subset_select import (SamplingPair, rand_sampling, bss_sampling,
+                            bss_sampling_sparse)
 from .adaptive import adaptive_cols, adaptive_cols_sparse, adaptive_rows_d
 from .subspace import (SubspaceFactor, best_subspace_svd, approx_subspace_svd,
                        rank_constrained_u)

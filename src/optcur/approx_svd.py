@@ -8,8 +8,6 @@ under its own contract: exactly and deterministically, in expectation, or
 with constant probability in o(dense-SVD) time.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -18,17 +16,12 @@ from .linalg import _matmul, _top_k, as_sparse
 from .sketch import make_sse, make_sign_sketch
 
 
-@dataclass(frozen=True)
-class FactorZ:
-    Z: np.ndarray  # n x k, orthonormal columns
-
-
 def deterministic_svd(a, k):
     """Z = top-k right singular vectors; deterministic, meets the bound with eps=0."""
     s, v = _top_k(a, k + 1, vectors=True)
     if not 1 <= k < linalg._rank(s, np.shape(a)):
         raise ValueError("need 1 <= k < rank(A)")
-    return FactorZ(Z=v[:, :k].copy())
+    return v[:, :k].copy()
 
 
 def randomized_svd(a, k, eps, rng):
@@ -42,7 +35,7 @@ def randomized_svd(a, k, eps, rng):
     p = min(p, n)
     s = make_sign_sketch(p, n, rng, scaled=False)
     q = scipy.linalg.qr(_matmul(a, s.S.T), mode="economic")[0]
-    return FactorZ(Z=_top_k(_matmul(q.T, a), k, vectors=True)[1])
+    return _top_k(_matmul(q.T, a), k, vectors=True)[1]
 
 
 def sparse_svd(a, k, eps, rng):
@@ -58,4 +51,4 @@ def sparse_svd(a, k, eps, rng):
     xi = int(np.ceil(40.0 * (k * k + k) / (eps * eps)))
     if xi < m:
         csr = make_sse(m, xi, rng).as_csr() @ csr
-    return FactorZ(Z=_top_k(csr, k, vectors=True)[1])
+    return _top_k(csr, k, vectors=True)[1]

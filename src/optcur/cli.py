@@ -18,20 +18,8 @@ from .linalg import NumericalError, as_array
 EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_NUMERICAL = 3
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+_SUITE_KEYS = {"input", "rank", "epsilon", "variant", "seed", "fidelity",
+               "trials"}
 
 
 def _derived_seed(seed, trial):
@@ -75,12 +63,14 @@ def cmd_decompose(args):
     mmio.write_matrix(os.path.join(out_dir, "C.mtx"), dec.C)
     mmio.write_matrix(os.path.join(out_dir, "U.mtx"), dec.U)
     mmio.write_matrix(os.path.join(out_dir, "R.mtx"), dec.R)
+    # json writes np.float64 as the float it is; arrays and other numpy
+    # scalars go through tolist
     with open(os.path.join(out_dir, "indices.json"), "w") as fh:
-        json.dump(_json_safe({
+        json.dump({
             "k": dec.k,
             "col_indices": dec.col_indices, "col_scales": dec.col_scales,
             "row_indices": dec.row_indices, "row_scales": dec.row_scales,
-        }), fh, indent=1, sort_keys=True)
+        }, fh, indent=1, sort_keys=True, default=lambda o: o.tolist())
     report = {
         "input": {"path": args.input, "rows": mat.shape[0],
                   "cols": mat.shape[1], "nnz": mat.nnz},
@@ -89,12 +79,13 @@ def cmd_decompose(args):
                    "trials": args.trials, "winning_seed": used_seed,
                    "c": cfg.c_total, "r": cfg.r_total},
         "evaluate": rep.as_dict(),
-        "diagnostics": _json_safe(dec.diagnostics),
+        "diagnostics": dec.diagnostics,
         "wall_clock_seconds": elapsed,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(_json_safe(report), fh, indent=1, sort_keys=True)
-    print(json.dumps(_json_safe(rep.as_dict())))
+        json.dump(report, fh, indent=1, sort_keys=True,
+                  default=lambda o: o.tolist())
+    print(json.dumps(rep.as_dict()))
     return EXIT_OK
 
 
@@ -124,7 +115,7 @@ def cmd_verify(args):
     a_rows = linalg._cols(a.T, dec.row_indices).T
     ok = ok and np.allclose(a_cols, c, atol=1e-12) \
         and np.allclose(a_rows, r, atol=1e-12)
-    print(json.dumps({"recomputed": _json_safe(rep.as_dict()),
+    print(json.dumps({"recomputed": rep.as_dict(),
                       "stored_ratio": stored["ratio"],
                       "ratio_drift": drift, "consistent": bool(ok)}))
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -146,6 +137,10 @@ def cmd_bench(args):
         missing = sorted({"input", "rank", "epsilon"} - set(entry))
         if missing:
             raise ValueError("suite entry %d lacks %s" % (i, ", ".join(missing)))
+        unknown = sorted(set(entry) - _SUITE_KEYS)
+        if unknown:
+            raise ValueError("suite entry %d has unknown %s"
+                             % (i, ", ".join(unknown)))
         cfgs.append(cur.CurConfig(k=entry["rank"], epsilon=entry["epsilon"],
                                   variant=entry.get("variant", "linear"),
                                   seed=entry.get("seed", 0),
@@ -156,10 +151,10 @@ def cmd_bench(args):
         t0 = time.perf_counter()
         try:
             dec, rep, seed = _run_decompose(mat, cfg, entry.get("trials", 1))
-            print(json.dumps(_json_safe({
+            print(json.dumps({
                 "input": entry["input"], "variant": cfg.variant,
                 "seed": seed, "seconds": time.perf_counter() - t0,
-                **rep.as_dict()})))
+                **rep.as_dict()}))
         except NumericalError as exc:
             failures += 1
             print(json.dumps({"input": entry["input"], "error": str(exc)}))

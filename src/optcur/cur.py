@@ -36,14 +36,9 @@ class CurConfig:
     variant: str = "linear"
     seed: int = 0
     fidelity: str = "paper"  # paper | heuristic
-    # constant overrides; None means the per-variant default
-    c1: int = None
+    # adaptive draws; None means the per-variant default
     c2: int = None
-    h1: int = None
-    h2: int = None
-    r1: int = None
     r2: int = None
-    xi_u: int = None
 
     def __post_init__(self):
         if (isinstance(self.k, bool) or not isinstance(self.k, Integral)
@@ -64,17 +59,16 @@ class CurConfig:
         return {"linear": 1620.0, "sparse": 4820.0,
                 "deterministic": 10.0}[self.variant] * self.k / self.epsilon
 
+    # the BSS widths, leverage draws and U sketch width follow from k and eps
     @property
     def c1_val(self):
-        return 4 * self.k if self.c1 is None else self.c1
+        return 4 * self.k
+
+    r1_val = c1_val
 
     @property
     def c2_val(self):
         return int(np.ceil(self._adaptive_factor())) if self.c2 is None else self.c2
-
-    @property
-    def r1_val(self):
-        return 4 * self.k if self.r1 is None else self.r1
 
     @property
     def r2_val(self):
@@ -82,20 +76,14 @@ class CurConfig:
 
     @property
     def h1_val(self):
-        if self.h1 is not None:
-            return self.h1
         return int(np.ceil(16.0 * self.k * np.log(20.0 * self.k)))
 
     @property
     def h2_val(self):
-        if self.h2 is not None:
-            return self.h2
         return int(np.ceil(8.0 * self.k * np.log(20.0 * self.k)))
 
     @property
     def xi_u_val(self):
-        if self.xi_u is not None:
-            return self.xi_u
         return int(np.ceil(40.0 * self.k * self.k / (self.epsilon ** 2)))
 
     @property
@@ -169,16 +157,15 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     else:
         sel = subset_select.bss_sampling_sparse(v_m, resid.T, r_bss,
                                                 sparse_eps, rng)
-    step_idx, step_w = sel.stepped()
-    return (pick[:, step_idx] * step_w, pair.indices[step_idx],
-            pair.scales[step_idx] * step_w)
+    return (pick[:, sel.indices] * sel.scales, pair.indices[sel.indices],
+            pair.scales[sel.indices] * sel.scales)
 
 
 def _exact_bss_cols(a, z, az, r_bss):
     """First stage of the deterministic variant: dual set = the exact residual
     columns of A - (A z) z^T."""
-    idx, w = subset_select.bss_sampling(z, (a - az @ z.T).T, r_bss).stepped()
-    return a[:, idx] * w, idx, w
+    sel = subset_select.bss_sampling(z, (a - az @ z.T).T, r_bss)
+    return a[:, sel.indices] * sel.scales, sel.indices, sel.scales
 
 
 # The slots each variant fills in `_pipeline`.  `_side` runs the same `first`
@@ -189,13 +176,13 @@ def _exact_bss_cols(a, z, az, r_bss):
 _SLOTS = {
     "linear": SimpleNamespace(
         prepare=as_array,
-        factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng).Z,
+        factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng),
         first=_levered_bss_stage,
         adapt=lambda a, z, v, c2, rng: adaptive.adaptive_cols(a, v, c2, rng),
         sketched=False),
     "sparse": SimpleNamespace(
         prepare=as_sparse,
-        factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng).Z,
+        factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng),
         first=functools.partial(_levered_bss_stage, sparse_eps=0.5),
         adapt=lambda a, z, v, c2, rng:
         adaptive.adaptive_cols_sparse(a, v, c2, rng),
@@ -269,7 +256,7 @@ def _pipeline(a, cfg, rng, variant):
     m, n = a.shape
     _check_dims(cfg, m, n)
     k = cfg.k
-    diag = {"variant": variant, "seed": cfg.seed, "fidelity": cfg.fidelity,
+    diag = {"variant": variant, "fidelity": cfg.fidelity,
             "retries_used": 0, "stage_seconds": {}, "sketch_caps": []}
 
     with _timed(diag, "approx_svd"):
@@ -342,7 +329,7 @@ def deterministic_column_stage(a, k, c1):
     """The BSS column stage of the deterministic pipeline: Z1 from the exact
     rank-k factor, dual set = residual columns, c1 weighted picks."""
     a = as_array(a)
-    z1 = deterministic_svd(a, k).Z
+    z1 = deterministic_svd(a, k)
     return _exact_bss_cols(a, z1, a @ z1, c1)
 
 

@@ -280,15 +280,15 @@ def apply_right_pinv(g, r):
     return solve((np.asarray(g) @ y).T).T
 
 
-def _range_probe(a, probe=8, seed=12345):
+def _range_probe(a):
     """(Q, B), A = Q B with B = Q^T A of the rank of A, from random range
     probes of width 8, 32, ... accepted once ||A - Q B||^2 <= 1e-24 ||A||^2
     (Halko-Martinsson-Tropp 4.3); (I, A) when A is small or not low rank."""
     a = np.asarray(a)
     m, n = a.shape
-    rng = np.random.default_rng(seed)
-    width = probe
-    while min(m, n) > probe * 4 and width <= min(m, n) // 2:
+    rng = np.random.default_rng(12345)
+    width = 8
+    while min(m, n) > 32 and width <= min(m, n) // 2:
         y = a @ rng.standard_normal((n, width))
         q = scipy.linalg.qr(y, mode="economic")[0]
         b = q.T @ a

@@ -26,32 +26,16 @@ _ORTHO_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SamplingPair:
-    """r index draws plus rescale factors: the pair (Omega, D)."""
+    """r index draws plus rescale factors: the pair (Omega, D).  Column j
+    of the selection matrix S = Omega D is scales[j] e_{indices[j]}."""
 
     indices: np.ndarray  # r values in [0, n)
-    scales: np.ndarray  # D_jj = 1 / sqrt(p_i * r)
+    scales: np.ndarray  # D_jj: 1 / sqrt(p_i r), or sqrt(w_j) for BSS
 
     def pick_rows(self, x):
         """D Omega^T X: the sampled, rescaled rows of X."""
         x = as_array(x)
         return x[self.indices] * self.scales[:, None]
-
-
-@dataclass(frozen=True)
-class WeightedSelection:
-    """The r greedy steps of S: column j of S is sqrt(w_j) e_{i_j}."""
-
-    steps: tuple  # ((index, weight_added), ...) in greedy order, rescaled
-
-    def stepped(self):
-        """(indices, sqrt-weights) of the greedy steps: S one column a step."""
-        idx = np.array([i for i, _ in self.steps], dtype=int)
-        return idx, np.sqrt(np.array([t for _, t in self.steps]))
-
-    def pick_rows(self, x):
-        """S^T X: rows of X at the stepped indices, sqrt-weight scaled."""
-        idx, w = self.stepped()
-        return as_array(x)[idx] * w[:, None]
 
 
 def rand_sampling(x, r, rng):
@@ -76,7 +60,8 @@ def bss_sampling(v, a, r):
 
     v: n x k with orthonormal columns (sum of v_i v_i^T = I_k);
     a: n x l, the second vector set (enters only through row norms);
-    returns r weighted steps S (<= r distinct indices) such that
+    returns the r greedy steps as the pair (Omega, D) of S, column j of S
+    being sqrt(w_j) e_{i_j} (<= r distinct indices), such that
 
         sigma_k(V^T S) >= 1 - sqrt(k/r)   and   ||A^T S||_F^2 <= ||A||_F^2.
     """
@@ -98,7 +83,7 @@ def bss_sampling(v, a, r):
     u_vals = anorms / delta_u
 
     sqrt_rk = np.sqrt(r * k)
-    steps = []
+    idx, ts = [], []
     m = np.zeros((k, k))
     for tau in range(r):
         low = tau - sqrt_rk
@@ -118,12 +103,12 @@ def bss_sampling(v, a, r):
             raise linalg.NumericalError("no admissible index at step %d" % tau)
         i = int(admissible[0])
         t = 2.0 / (u_vals[i] + l_vals[i])
-        steps.append((i, t))
+        idx.append(i)
+        ts.append(t)
         m += t * np.outer(v[i], v[i])
 
-    scale = shrink / r
-    steps = tuple((i, t * scale) for i, t in steps)
-    return WeightedSelection(steps=steps)
+    return SamplingPair(indices=np.array(idx, dtype=int),
+                        scales=np.sqrt(np.array(ts) * (shrink / r)))
 
 
 def bss_sampling_sparse(v, a, r, eps, rng):

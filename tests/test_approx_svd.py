@@ -33,21 +33,21 @@ def opt_sq(a, k):
 
 def test_deterministic_diagonal_picks_dominant_axis():
     a = np.diag([1.0, 5.0, 2.0])
-    z = deterministic_svd(a, 1).Z
+    z = deterministic_svd(a, 1)
     assert np.allclose(np.abs(z.ravel()), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_deterministic_exact_rank_k(rng):
     a = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 15))
     # k = rank is rejected; k just below rank leaves the smallest direction
-    z = deterministic_svd(a, 3).Z
+    z = deterministic_svd(a, 3)
     s = np.linalg.svd(a, compute_uv=False)
     assert proj_residual_sq(a, z) == pytest.approx(s[3] ** 2, rel=1e-9)
 
 
 def test_deterministic_bound_vs_oracle(rng):
     a = lowrank_noise(50, 40, 6, 0.3, rng)
-    z = deterministic_svd(a, 3).Z
+    z = deterministic_svd(a, 3)
     assert proj_residual_sq(a, z) <= (1.0 + 1e-12) * opt_sq(a, 3)
 
 
@@ -67,7 +67,7 @@ def test_randomized_exact_rank_k_every_seed(rng):
     a = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 25))
     fro = np.sum(a * a)
     for seed in range(10):
-        z = randomized_svd(a, 2, 0.5, np.random.default_rng(seed)).Z
+        z = randomized_svd(a, 2, 0.5, np.random.default_rng(seed))
         assert proj_residual_sq(a, z) <= 1e-18 * fro
 
 
@@ -79,7 +79,7 @@ def test_randomized_mean_bound_monte_carlo():
     opt = opt_sq(a, k)
     vals = np.array([
         proj_residual_sq(a, randomized_svd(a, k, eps,
-                                           np.random.default_rng(s)).Z)
+                                           np.random.default_rng(s)))
         for s in range(500)
     ])
     se = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -89,7 +89,7 @@ def test_randomized_mean_bound_monte_carlo():
 def test_randomized_orthonormal_every_seed(rng):
     a = lowrank_noise(20, 15, 3, 0.2, rng)
     for seed in range(20):
-        z = randomized_svd(a, 3, 0.5, np.random.default_rng(seed)).Z
+        z = randomized_svd(a, 3, 0.5, np.random.default_rng(seed))
         assert z.shape == (15, 3)
         assert np.allclose(z.T @ z, np.eye(3), atol=1e-9)
 
@@ -112,7 +112,7 @@ def test_sparse_exact_rank_k(rng):
     left = scipy.sparse.random(60, 3, density=0.4, random_state=1).toarray()
     right = scipy.sparse.random(3, 50, density=0.4, random_state=2).toarray()
     a = scipy.sparse.csr_matrix(left @ right)
-    z = sparse_svd(a, 2, 0.5, np.random.default_rng(0)).Z
+    z = sparse_svd(a, 2, 0.5, np.random.default_rng(0))
     # k = 2 below the true rank 3; check bound, then exact capture at k = rank
     s = np.linalg.svd(a.toarray(), compute_uv=False)
     assert proj_residual_sq(a, z) <= (1.0 + 0.5) * np.sum(s[2:] ** 2) + 1e-9
@@ -132,14 +132,14 @@ def test_sparse_bound_monte_carlo():
     opt = opt_sq(a, k)
     hits = 0
     for seed in range(100):
-        z = sparse_svd(a, k, eps, np.random.default_rng(seed)).Z
+        z = sparse_svd(a, k, eps, np.random.default_rng(seed))
         hits += proj_residual_sq(a, z) <= (1.0 + eps) * opt
     assert hits >= 85
 
 
 def test_sparse_width_and_orthonormality():
     a = scipy.sparse.random(40, 30, density=0.3, random_state=5, format="csr")
-    z = sparse_svd(a, 4, 0.5, np.random.default_rng(1)).Z
+    z = sparse_svd(a, 4, 0.5, np.random.default_rng(1))
     assert z.shape == (30, 4)
     assert np.allclose(z.T @ z, np.eye(4), atol=1e-9)
 
@@ -153,12 +153,12 @@ def test_residual_never_beats_svd(mode, rng):
     a = lowrank_noise(30, 24, 4, 0.4, rng)
     k = 3
     if mode == "deterministic":
-        z = deterministic_svd(a, k).Z
+        z = deterministic_svd(a, k)
     elif mode == "randomized":
-        z = randomized_svd(a, k, 0.5, np.random.default_rng(7)).Z
+        z = randomized_svd(a, k, 0.5, np.random.default_rng(7))
     else:
         z = sparse_svd(scipy.sparse.csr_matrix(a), k, 0.5,
-                       np.random.default_rng(7)).Z
+                       np.random.default_rng(7))
     assert proj_residual_sq(a, z) >= opt_sq(a, k) - 1e-9
 
 
@@ -168,7 +168,7 @@ def test_sparse_sketch_branch_matches_dense_sketch():
     a = scipy.sparse.random(2000, 500, density=0.01, random_state=9,
                             format="csr")
     k = 3
-    z = sparse_svd(a, k, 1.0, np.random.default_rng(5)).Z
+    z = sparse_svd(a, k, 1.0, np.random.default_rng(5))
     w = make_sse(2000, 40 * (k * k + k), np.random.default_rng(5))
     vt = np.linalg.svd((w.as_csr() @ a).toarray())[2]
     assert np.allclose(z @ z.T, vt[:k].T @ vt[:k], atol=1e-10)

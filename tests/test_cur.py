@@ -1,6 +1,8 @@
 """End-to-end CUR pipelines: configuration, structural invariants, error
 bounds at small scale, and evaluation reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -81,9 +83,18 @@ def test_config_validation():
 
 
 def test_config_overrides():
-    cfg = cur.CurConfig(k=2, epsilon=0.5, c2=7, r2=9, h1=50, xi_u=13)
+    # c2 and r2 are settable; the other sizes follow from k and epsilon
+    cfg = cur.CurConfig(k=2, epsilon=0.5, c2=7, r2=9)
     assert cfg.c2_val == 7 and cfg.r2_val == 9
-    assert cfg.h1_val == 50 and cfg.xi_u_val == 13
+    assert cfg.c_total == 8 + 7 and cfg.r_total == 8 + 9
+    assert cfg.h1_val == 119 and cfg.h2_val == 60 and cfg.xi_u_val == 640
+
+
+def test_config_fields():
+    # a settable value added or dropped shows here as a reviewed diff
+    names = sorted(f.name for f in dataclasses.fields(cur.CurConfig))
+    assert names == ["c2", "epsilon", "fidelity", "k", "r2", "seed",
+                     "variant"]
 
 
 def test_dimension_insufficiency_errors(rng):
@@ -247,12 +258,13 @@ def test_sparse_no_dense_materialization():
 
 
 def test_sparse_sketched_u_regression():
-    # force the sketched intersection path (xi_u below the row count) and
-    # check the result still meets the relative-error target and rank cap;
-    # the regression applies (W Z2)^+ W to A, never forming the dense W A
+    # take the sketched intersection path (xi_u = 563 below the 600 rows)
+    # and check the result still meets the relative-error target and rank
+    # cap; the regression applies (W Z2)^+ W to A, never forming the dense W A
     a = sparse_instance(600, 500, 0.02, 3, 17)
-    cfg = cur.CurConfig(k=3, epsilon=0.5, variant="sparse",
-                        fidelity="heuristic", xi_u=400)
+    cfg = cur.CurConfig(k=3, epsilon=0.8, variant="sparse",
+                        fidelity="heuristic")
+    assert cfg.xi_u_val < a.shape[0]
     with audit.forbid_dense(cfg.xi_u_val * a.shape[1]):
         dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(3))
     assert "u_regression_exact" not in dec.diagnostics["sketch_caps"]
@@ -452,12 +464,12 @@ def test_rank_deficient_triangles_factored_once(monkeypatch):
 @pytest.mark.parametrize("wide", [True, False])
 def test_more_distinct_draws_than_the_other_side(variant, wide):
     # with c1 + c2 > m (or r1 + r2 > n) the distinct columns of a 40 x 100
-    # input (rows of its transpose) can outnumber its rows
-    over = dict(c1=8, c2=60, r1=8, r2=20)
+    # input (rows of its transpose) can outnumber its rows; c1 = r1 = 8
+    over = dict(c2=60, r2=20)
     a = lowrank_noise(40, 100, 5, 0.1, np.random.default_rng(173))
     if not wide:
         a = a.T
-        over = dict(c1=8, c2=20, r1=8, r2=60)
+        over = dict(c2=20, r2=60)
     cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
                         fidelity="heuristic", **over)
     dec = cur.decompose(a, cfg, np.random.default_rng(0))
@@ -535,11 +547,12 @@ def test_sparse_variant_on_all_zero_input_is_exact(kind):
 @pytest.mark.parametrize("variant", cur.VARIANTS)
 @pytest.mark.parametrize("case", ["gram", "exact", "small"])
 def test_cur_error_sq_matches_direct_sum(case, variant, kind):
-    # "gram": a noisy input, whose error the Gram form gives; "exact": a
-    # rank-2 input at k = 2, whose error is below rounding and is summed by
-    # row blocks; "small": c = r = 12 <= 32, where the range probe of U is
-    # the trivial (I, U).  Few adaptive draws keep the derandomized top-up,
-    # which enumerates a hash family of about (4m)^2 members, at seconds.
+    # "gram": a noisy input at k = 7, c = r = 28 + 5, whose error the Gram
+    # form gives; "exact": a rank-2 input at k = 2, c = r = 8 + 26, whose
+    # error is below rounding and is summed by row blocks; "small": c = r =
+    # 8 + 4 <= 32, where the range probe of U is the trivial (I, U).  The
+    # derandomized top-up enumerates a hash family of about (4m)^2 members;
+    # few draws keep it at seconds, and on "exact" the residual is zero.
     rng = np.random.default_rng(167)
     if case == "exact":
         a = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 36))
@@ -548,9 +561,9 @@ def test_cur_error_sq_matches_direct_sum(case, variant, kind):
         a = lowrank_noise(40, 36, 4, 0.3, rng)
         a[rng.random(a.shape) < 0.3] = 0.0
     x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
-    first = 8 if case == "small" else 30
-    cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
-                        fidelity="heuristic", c1=first, r1=first, c2=4, r2=4)
+    k, draws = {"gram": (7, 5), "exact": (2, 26), "small": (2, 4)}[case]
+    cfg = cur.CurConfig(k=k, epsilon=0.5, variant=variant,
+                        fidelity="heuristic", c2=draws, r2=draws)
     dec = cur.decompose(x, cfg, np.random.default_rng(2))
     assert (min(dec.C.shape[1], dec.R.shape[0]) <= 32) == (case == "small")
     fro = linalg.frobenius_sq(a)

@@ -3,6 +3,8 @@ brute-force column oracles, and the command-line interface."""
 
 import json
 import os
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -403,6 +405,36 @@ def test_trials_draw_distinct_seeds(tmp_path, monkeypatch):
     assert len(picks) == 4 and len(set(picks)) >= 2
 
 
+def test_report_names_the_winning_seed(tmp_path):
+    # on this input trial 2 of 4 wins: report.json records its seed, the
+    # seed reproduces the indices, and no other seed is recorded
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--seed", "0", "--trials", "4", "--out-dir", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    winner = report["config"]["winning_seed"]
+    assert winner == cli._derived_seed(0, 2)
+    assert "seed" not in report["diagnostics"]
+    idx = json.loads((out / "indices.json").read_text())
+    cfg = cur.CurConfig(k=2, epsilon=1.0, fidelity="heuristic")
+    dec = cur.decompose(mmio.read_matrix(inp), cfg,
+                        np.random.default_rng(winner))
+    assert idx["col_indices"] == dec.col_indices.tolist()
+    assert idx["row_indices"] == dec.row_indices.tolist()
+
+
+def test_lower_bound_sweep_script_runs(monkeypatch, capsys):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "lower_bound_sweep.py")
+    monkeypatch.setattr(sys, "argv", [script, "--n", "3", "--k", "1",
+                                      "--max-c", "2"])
+    runpy.run_path(script, run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("instance: t=") and len(lines) == 4
+
+
 def test_linalg_error_exits_3(tmp_path, monkeypatch):
     inp = write_test_matrix(tmp_path)
 
@@ -420,10 +452,12 @@ SUITE_ENTRY = {"input": None, "rank": 2, "epsilon": 1.0,
 
 
 @pytest.mark.parametrize("case", ["decompose-0", "decompose-neg", "bench-0",
-                                  "no-input", "no-rank", "no-epsilon"])
+                                  "no-input", "no-rank", "no-epsilon",
+                                  "unknown-key"])
 def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
-    # a trial count below 1 and a suite entry without a required key are
-    # argument errors: exit 2, and nothing runs or is written
+    # a trial count below 1 and a suite entry without a required key or
+    # with an unknown one are argument errors: exit 2, and nothing runs or
+    # is written
     inp = write_test_matrix(tmp_path)
     out = tmp_path / "out"
     if case.startswith("decompose"):
@@ -436,6 +470,8 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
     good = dict(SUITE_ENTRY, input=str(inp))
     if case == "bench-0":
         entries = [dict(good, trials=0)]
+    elif case == "unknown-key":  # a misspelt "variant"
+        entries = [good, dict(good, varient="sparse")]
     else:
         bad = dict(good)
         del bad[case[len("no-"):]]
@@ -468,10 +504,10 @@ def test_public_surface():
     import optcur
     assert sorted(optcur.__all__) == [
         "AdversarialInstance", "CurConfig", "CurDecomposition", "DenseMatrix",
-        "EvalReport", "FactorZ", "MatrixMarketError", "NumericalError",
+        "EvalReport", "MatrixMarketError", "NumericalError",
         "SamplingPair", "SignSketch", "SparseEmbedding",
         "SparseMatrix", "SubspaceFactor", "SvdFactorization",
-        "WeightedSelection", "adaptive", "adaptive_cols",
+        "adaptive", "adaptive_cols",
         "adaptive_cols_sparse", "adaptive_rows_d", "approx_subspace_svd",
         "approx_svd", "audit", "best_subspace_svd",
         "brute_force_best_columns", "bss_sampling", "bss_sampling_sparse",

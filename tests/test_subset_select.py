@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from optcur.subset_select import (SamplingPair, WeightedSelection,
-                                  rand_sampling, bss_sampling,
+from optcur.subset_select import (rand_sampling, bss_sampling,
                                   bss_sampling_sparse)
 
 from conftest import random_orthonormal
@@ -124,10 +123,9 @@ def test_bss_nonzero_count_bounded(rng):
     v = random_orthonormal(25, 3, rng)
     a = rng.standard_normal((25, 7))
     sel = bss_sampling(v, a, 8)
-    idx, w = sel.stepped()
-    assert np.unique(idx).size <= 8
-    assert np.all(w >= 0)
-    assert len(sel.steps) == 8
+    assert np.unique(sel.indices).size <= 8
+    assert np.all(sel.scales >= 0)
+    assert len(sel.indices) == len(sel.scales) == 8
 
 
 def test_bss_contract_random_instances():
@@ -151,7 +149,7 @@ def test_bss_identity_rows_cover_support(rng):
     support = [1, 4, 7]
     v[support, range(k)] = 1.0
     sel = bss_sampling(v, rng.standard_normal((n, 2)), 2 * k)
-    assert set(support) <= set(sel.stepped()[0].tolist())
+    assert set(support) <= set(sel.indices.tolist())
 
 
 def test_bss_deterministic(rng):
@@ -159,7 +157,8 @@ def test_bss_deterministic(rng):
     a = rng.standard_normal((20, 3))
     s1 = bss_sampling(v, a, 6)
     s2 = bss_sampling(v, a, 6)
-    assert s1.steps == s2.steps
+    assert np.array_equal(s1.indices, s2.indices)
+    assert s1.scales.tobytes() == s2.scales.tobytes()
 
 
 def test_bss_argument_errors(rng):
