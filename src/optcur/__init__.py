@@ -11,7 +11,7 @@ from .sketch import SparseEmbedding, SignSketch, make_sse
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
 from .subset_select import (SamplingPair, rand_sampling, bss_sampling,
                             bss_sampling_sparse)
-from .adaptive import adaptive_cols, adaptive_cols_sparse, adaptive_rows_d
+from .adaptive import adaptive_cols, adaptive_rows_d
 from .subspace import (SubspaceFactor, best_subspace_svd, approx_subspace_svd,
                        rank_constrained_u)
 from .cur import (CurConfig, CurDecomposition, EvalReport, cur_linear_time,

@@ -1,14 +1,14 @@
 """Adaptive sampling: residual-norm column/row selection.
 
-Randomized variants draw indices with probabilities proportional to squared
-residual norms after projecting out an already-selected subspace.  Sparse
-variants estimate those norms from a sign-sketched residual without ever
-forming it.  The derandomized variant replaces the i.i.d. draw by every
-member of a pairwise-independent hash family over a discretized distribution
-and keeps the first member minimizing the true objective, which turns the
-expectation bound into a guarantee.  The objective has a closed form whose
-only set-dependent term is tr(K_SS^+ H_SS) for two Gram matrices formed
-once, so the members sharing a hash coefficient are scored in one batch.
+Randomized variants draw indices with probabilities exactly proportional to
+squared residual norms against an already-selected subspace V, in nnz(A)
+rank(V) time on sparse A: the cost of V^+ A alone in the sign-sketched
+estimate `sketched_col_distribution` (floor 1/3), which no pipeline calls.
+The derandomized variant keeps the first member of a pairwise-independent
+hash family over a discretized distribution that minimizes the true
+objective, so the expectation bound becomes a guarantee.  Its only
+set-dependent term is tr(K_SS^+ H_SS), for two Gram matrices formed once,
+so one batch scores the members sharing a hash coefficient.
 """
 
 from dataclasses import dataclass
@@ -39,14 +39,13 @@ class DiscreteDistribution:
     grid: int  # 4n
 
 
-def _normalize(sq_norms, total_ref):
-    """Residual mass to a distribution; uniform when numerically zero."""
+def _distribution(sq_norms, a, alpha):
+    """Residual column mass to a distribution; uniform when numerically 0."""
     sq = np.clip(sq_norms, 0.0, None)
     total = sq.sum()
-    if total <= _ZERO_RTOL * total_ref:
-        n = sq.shape[0]
-        return np.full(n, 1.0 / n), True
-    return sq / total, False
+    if total <= _ZERO_RTOL * linalg.frobenius_sq(a):
+        return ResidualDistribution(np.full(sq.size, 1 / sq.size), alpha, True)
+    return ResidualDistribution(sq / total, alpha, False)
 
 
 def residual_col_distribution(a, v):
@@ -55,8 +54,7 @@ def residual_col_distribution(a, v):
     q = linalg.orthonormal_basis(v)
     proj = _matmul(q.T, a)
     sq = _col_sq_norms(a) - np.sum(proj * proj, axis=0)
-    p, fallback = _normalize(sq, linalg.frobenius_sq(a))
-    return ResidualDistribution(p=p, alpha=1.0, uniform_fallback=fallback)
+    return _distribution(sq, a, 1.0)
 
 
 def sketched_col_distribution(a, v, rng):
@@ -70,27 +68,17 @@ def sketched_col_distribution(a, v, rng):
     v = as_array(v)
     vpa = _matmul(linalg.pinv(v), a)
     bt = _matmul(s.S, a) - (s.S @ v) @ vpa
-    p, fallback = _normalize(np.sum(bt * bt, axis=0), linalg.frobenius_sq(a))
-    return ResidualDistribution(p=p, alpha=1.0 / 3.0, uniform_fallback=fallback)
-
-
-def _draw(dist, count, rng):
-    return rng.choice(dist.p.shape[0], size=count, p=dist.p)
+    return _distribution(np.sum(bt * bt, axis=0), a, 1.0 / 3.0)
 
 
 def adaptive_cols(a, v, c2, rng):
     """c2 i.i.d. column draws with probabilities exactly proportional to the
-    squared residual column norms of A vs span(V)."""
+    squared residual column norms of A vs span(V); dense or sparse A."""
     if c2 < 1:
         raise ValueError("c2 must be >= 1")
-    return _draw(residual_col_distribution(a, v), c2, rng)
+    p = residual_col_distribution(a, v).p
+    return rng.choice(p.shape[0], size=c2, p=p)
 
-
-def adaptive_cols_sparse(a, v, c2, rng):
-    """Column draws from the JLT-sketched residual; nnz-time, no m x n buffer."""
-    if c2 < 1:
-        raise ValueError("c2 must be >= 1")
-    return _draw(sketched_col_distribution(a, v, rng), c2, rng)
 
 # ---------------------------------------------------------------------------
 # derandomized variants

@@ -33,8 +33,6 @@ def _derived_seed(seed, trial):
 
 def _run_decompose(a, cfg, trials):
     """Run `trials` independent attempts, keep the best evaluate() ratio."""
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError("trials must be a positive integer, not %r" % (trials,))
     opt_sq = cur.optimal_residual_sq(a, cfg.k)
     best = None
     for trial in range(trials):
@@ -50,6 +48,8 @@ def _run_decompose(a, cfg, trials):
 
 
 def cmd_decompose(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1, not %d" % args.trials)
     mat = mmio.read_matrix(args.input)
     cfg = cur.CurConfig(k=args.rank, epsilon=args.epsilon,
                         variant=args.variant, seed=args.seed,
@@ -131,7 +131,7 @@ def cmd_gen_adversarial(args):
 def cmd_bench(args):
     with open(args.suite) as fh:
         entries = json.load(fh)
-    # every entry is checked for its keys and its config before any runs
+    # every entry's keys, config, trials and input file are checked first
     cfgs = []
     for i, entry in enumerate(entries):
         missing = sorted({"input", "rank", "epsilon"} - set(entry))
@@ -145,6 +145,12 @@ def cmd_bench(args):
                                   variant=entry.get("variant", "linear"),
                                   seed=entry.get("seed", 0),
                                   fidelity=entry.get("fidelity", "heuristic")))
+        trials = entry.get("trials", 1)
+        if not isinstance(trials, int) or trials < 1:
+            raise ValueError("suite entry %d has trials %r" % (i, trials))
+        path = entry["input"]
+        if not isinstance(path, str) or not os.path.isfile(path):
+            raise FileNotFoundError("suite entry %d: no file %r" % (i, path))
     failures = 0
     for entry, cfg in zip(entries, cfgs):
         mat = mmio.read_matrix(entry["input"])

@@ -184,8 +184,7 @@ _SLOTS = {
         prepare=as_sparse,
         factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng),
         first=functools.partial(_levered_bss_stage, sparse_eps=0.5),
-        adapt=lambda a, z, v, c2, rng:
-        adaptive.adaptive_cols_sparse(a, v, c2, rng),
+        adapt=lambda a, z, v, c2, rng: adaptive.adaptive_cols(a, v, c2, rng),
         sketched=True),
     # the adaptive target is A Z Z^T: A_k on the column side, where Z1 holds
     # the top right singular vectors of A (any k of them when rank(A) <= k)
@@ -315,8 +314,8 @@ def cur_linear_time(a, cfg, rng=None):
 
 
 def cur_input_sparsity(a, cfg, rng=None):
-    """Input-sparsity CUR: every stage works on sketches or sampled slices;
-    no dense m x n intermediate is ever materialized."""
+    """Input-sparsity CUR: sketched factor, core and U, sparse BSS, and
+    exact nnz-time residual draws; no dense m x n intermediate is formed."""
     return _pipeline(a, cfg, rng, "sparse")
 
 
@@ -351,11 +350,18 @@ def top_sigma_sq(a, k):
 def optimal_residual_sq(a, k):
     """||A - A_k||_F^2 as ||A||^2 minus the top-k sigma^2; a difference
     within the rounding of that subtraction, max(m, n) eps ||A||^2, is 0."""
-    return _optimal_residual_sq(a, k, linalg.frobenius_sq(a))
+    return _optimal_residual_sq(a, k, _representable(linalg.frobenius_sq(a)))
+
+
+def _representable(norm_sq):
+    """norm_sq, or NumericalError when it overflowed to inf or NaN."""
+    if not np.isfinite(norm_sq):
+        raise NumericalError("norm not representable: %r" % (norm_sq,))
+    return norm_sq
 
 
 def _optimal_residual_sq(a, k, fro):
-    opt = fro - top_sigma_sq(a, k)
+    opt = fro - _representable(top_sigma_sq(a, k))
     return opt if opt > max(_operand(a).shape) * 2.0 ** -52 * fro else 0.0
 
 
@@ -394,9 +400,9 @@ def _error_sq(a, dec, probe, fro):
 def evaluate(a, dec, opt_sq=None):
     """Exact error report for a decomposition; U is probed and ||A||^2
     summed once, and both are shared by the error and the optimum."""
-    fro = linalg.frobenius_sq(a)
+    fro = _representable(linalg.frobenius_sq(a))
     q, b = linalg._range_probe(dec.U)
-    err_sq = max(_error_sq(a, dec, (q, b), fro), 0.0)
+    err_sq = max(_representable(_error_sq(a, dec, (q, b), fro)), 0.0)
     if opt_sq is None:
         opt_sq = _optimal_residual_sq(a, dec.k, fro)
     exact = err_sq <= 1e-16 * fro

@@ -143,13 +143,20 @@ def test_sketched_row_distribution_floor():
     assert hits >= 99
 
 
-def test_adaptive_cols_sparse_zero_residual(rng):
+def sketched_cols(a, v, c2, rng):
+    """c2 draws from the sketched distribution, as the paper's sparse
+    variant draws them."""
+    p = adaptive.sketched_col_distribution(a, v, rng).p
+    return rng.choice(p.shape[0], size=c2, p=p)
+
+
+def test_sketched_cols_zero_residual(rng):
     a = rng.standard_normal((10, 8))
-    idx = adaptive.adaptive_cols_sparse(a, a, 4, rng)
+    idx = sketched_cols(a, a, 4, rng)
     assert len(idx) == 4
 
 
-def test_adaptive_cols_sparse_bound_monte_carlo():
+def test_sketched_cols_bound_monte_carlo():
     # constant-30 bound on 40 x 40, k=2, c2=20, success fraction >= 0.8
     rng0 = np.random.default_rng(79)
     a = lowrank_noise(40, 40, 3, 0.4, rng0)
@@ -160,8 +167,7 @@ def test_adaptive_cols_sparse_bound_monte_carlo():
     bound = np.sum(s[k:] ** 2) + (30.0 * k / c2) * resid_v
     hits = 0
     for seed in range(100):
-        idx = adaptive.adaptive_cols_sparse(a, v, c2,
-                                            np.random.default_rng(seed))
+        idx = sketched_cols(a, v, c2, np.random.default_rng(seed))
         cols = np.hstack([v, a[:, idx]])
         hits += span_restricted_residual_sq(a, cols, k) <= bound
     assert hits >= 80

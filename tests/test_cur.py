@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from optcur import audit, cur, linalg
+from optcur import adaptive, audit, cur, linalg
 
 from conftest import lowrank_noise
 
@@ -249,6 +249,21 @@ def test_sparse_bound_small():
 
 
 def test_sparse_no_dense_materialization():
+    a = sparse_instance(400, 300, 0.02, 3, 13)
+    cfg = cur.CurConfig(k=3, epsilon=0.5, variant="sparse",
+                        fidelity="heuristic")
+    with audit.forbid_dense(400 * 300):
+        dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(1))
+    assert dec.C.shape == (400, cfg.c_total)
+
+
+def test_sparse_adaptive_draws_skip_the_sign_sketch(monkeypatch):
+    # the adaptive top-up draws from the exact residual norms, which the
+    # sparse pipeline computes without an m x n buffer
+    def sketched(*args):
+        raise AssertionError("sign-sketched residual estimate called")
+
+    monkeypatch.setattr(adaptive, "sketched_col_distribution", sketched)
     a = sparse_instance(400, 300, 0.02, 3, 13)
     cfg = cur.CurConfig(k=3, epsilon=0.5, variant="sparse",
                         fidelity="heuristic")

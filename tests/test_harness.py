@@ -354,6 +354,25 @@ def test_verify_detects_tampering(tmp_path):
                     "--decomposition", out]) == 3
 
 
+def test_verify_exits_3_when_a_norm_overflows(tmp_path, capsys):
+    # at 1e160 ||A||^2 overflows; evaluate used to report err_sq=inf,
+    # opt_sq=0, ratio=0 and exact=True for a decomposition scaled to match
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 0
+    big = tmp_path / "big.mtx"
+    mmio.write_matrix(big, np.asarray(mmio.read_matrix(inp)) * 1e160)
+    for name, scale in (("C.mtx", 1e160), ("U.mtx", 1e-160),
+                        ("R.mtx", 1e160)):
+        path = out / name
+        mmio.write_matrix(path, np.asarray(mmio.read_matrix(path)) * scale)
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", big, "--decomposition", out]) == 3
+    assert "norm not representable" in capsys.readouterr().err
+
+
 def test_gen_adversarial_cli(tmp_path):
     out = tmp_path / "adv.mtx"
     assert run_cli(["gen-adversarial", "--n", "3", "--k", "1",
@@ -453,11 +472,14 @@ SUITE_ENTRY = {"input": None, "rank": 2, "epsilon": 1.0,
 
 @pytest.mark.parametrize("case", ["decompose-0", "decompose-neg", "bench-0",
                                   "no-input", "no-rank", "no-epsilon",
-                                  "unknown-key"])
+                                  "unknown-key", "trials-0-after-good",
+                                  "trials-str-after-good",
+                                  "missing-input-after-good",
+                                  "null-input-after-good"])
 def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
-    # a trial count below 1 and a suite entry without a required key or
-    # with an unknown one are argument errors: exit 2, and nothing runs or
-    # is written
+    # a trial count below 1 and a suite entry without a required key, with
+    # an unknown one, with a bad trial count or a missing input file are
+    # argument errors: exit 2, and nothing runs or is written
     inp = write_test_matrix(tmp_path)
     out = tmp_path / "out"
     if case.startswith("decompose"):
@@ -472,6 +494,14 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
         entries = [dict(good, trials=0)]
     elif case == "unknown-key":  # a misspelt "variant"
         entries = [good, dict(good, varient="sparse")]
+    elif case == "trials-0-after-good":
+        entries = [good, dict(good, trials=0)]
+    elif case == "trials-str-after-good":
+        entries = [good, dict(good, trials="2")]
+    elif case == "missing-input-after-good":
+        entries = [good, dict(good, input=str(tmp_path / "missing.mtx"))]
+    elif case == "null-input-after-good":
+        entries = [good, dict(good, input=None)]
     else:
         bad = dict(good)
         del bad[case[len("no-"):]]
@@ -508,7 +538,7 @@ def test_public_surface():
         "SamplingPair", "SignSketch", "SparseEmbedding",
         "SparseMatrix", "SubspaceFactor", "SvdFactorization",
         "adaptive", "adaptive_cols",
-        "adaptive_cols_sparse", "adaptive_rows_d", "approx_subspace_svd",
+        "adaptive_rows_d", "approx_subspace_svd",
         "approx_svd", "audit", "best_subspace_svd",
         "brute_force_best_columns", "bss_sampling", "bss_sampling_sparse",
         "cur", "cur_deterministic", "cur_input_sparsity", "cur_linear_time",
