@@ -142,6 +142,10 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     E Omega D, where az = A z, to r_bss weighted picks.  Returns the picked
     scaled columns, their indices and scales, or None when the sampled
     leverage matrix lost rank.
+
+    E Omega D is the one m x h buffer of the stage: gathered, scaled and
+    reduced by az @ msmall in place, a block of columns at a time.  Only the
+    r_bss picked columns are gathered again.
     """
     pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
     msmall = pair.pick_rows(z).T  # k x h
@@ -150,21 +154,28 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     if linalg._rank(s, msmall.shape) < k:
         return None
     v_m = vt[:k].T  # right singular vectors of the sampled leverage matrix
-    pick = _cols(a, pair.indices) * pair.scales
-    resid = pick - az @ msmall  # E Omega D, one column per sample
+    # C order, as the product az @ msmall gives it, fixes the order in which
+    # BSS sums each dual-set norm; dense and CSC gathers come back in F order
+    resid = np.ascontiguousarray(_cols(a, pair.indices))
+    resid *= pair.scales
+    for cols in linalg._blocks(resid.shape[1], resid.shape[0]):
+        resid[:, cols] -= az @ msmall[:, cols]
     if sparse_eps is None:
         sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
     else:
         sel = subset_select.bss_sampling_sparse(v_m, resid.T, r_bss,
                                                 sparse_eps, rng)
-    return (pick[:, sel.indices] * sel.scales, pair.indices[sel.indices],
-            pair.scales[sel.indices] * sel.scales)
+    idx = pair.indices[sel.indices]
+    scales = pair.scales[sel.indices]
+    return _cols(a, idx) * scales * sel.scales, idx, scales * sel.scales
 
 
 def _exact_bss_cols(a, z, az, r_bss):
     """First stage of the deterministic variant: dual set = the exact residual
-    columns of A - (A z) z^T."""
-    sel = subset_select.bss_sampling(z, (a - az @ z.T).T, r_bss)
+    columns of A - (A z) z^T, formed in the buffer of (A z) z^T."""
+    resid = az @ z.T
+    np.subtract(a, resid, out=resid)
+    sel = subset_select.bss_sampling(z, resid.T, r_bss)
     return a[:, sel.indices] * sel.scales, sel.indices, sel.scales
 
 
@@ -366,8 +377,10 @@ def _optimal_residual_sq(a, k, fro):
 
 
 def cur_error_sq(a, dec):
-    """||A - C U R||_F^2; see `_error_sq`."""
-    return _error_sq(a, dec, linalg._range_probe(dec.U), linalg.frobenius_sq(a))
+    """||A - C U R||_F^2; see `_error_sq`.  NumericalError when ||A||^2 or
+    the error overflows, as in `evaluate`."""
+    fro = _representable(linalg.frobenius_sq(a))
+    return _representable(_error_sq(a, dec, linalg._range_probe(dec.U), fro))
 
 
 def _error_sq(a, dec, probe, fro):
@@ -388,7 +401,7 @@ def _error_sq(a, dec, probe, fro):
     err_sq = fro - 2.0 * cross + norm_pt
     if err_sq > 1e-3 * (fro + norm_pt):
         return err_sq
-    step = max(1, (1 << 16) // max(a.shape[1], 1))
+    step = max(1, linalg._BLOCK // max(a.shape[1], 1))
     err_sq = 0.0
     for i in range(0, a.shape[0], step):
         rows = slice(i, i + step)

@@ -18,6 +18,21 @@ from . import audit
 
 # Singular values below RANK_RTOL * sigma_1 * max(m, n) are treated as zero.
 RANK_RTOL = 2.0 ** -45
+# Values per block where a temporary is built a block at a time.
+_BLOCK = 1 << 16
+
+
+def _blocks(n, width):
+    """Slices covering range(n), each of about _BLOCK // width indices and at
+    least 2: the last one takes the remainder.  A block of one row or column
+    would switch numpy to another summation order or BLAS kernel (pairwise
+    sum, gemv), so blocked results keep the bits of the whole-array ones."""
+    step = max(2, _BLOCK // max(width, 1))
+    i = 0
+    while i < n:
+        j = n if n - i < 2 * step else i + step
+        yield slice(i, j)
+        i = j
 
 
 class NumericalError(RuntimeError):

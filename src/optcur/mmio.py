@@ -6,6 +6,8 @@ offending line number on malformed input; the writer emits 17 significant
 digits so round-trips are bit-exact for doubles.
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse
 
@@ -24,24 +26,29 @@ _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 
 
-def _walk(path, lines, ln, count, what, parse):
-    """Parse the `count` lines after line `ln` one at a time, raising at the
-    first bad one.  Runs only when the vectorised parse has failed."""
-    out = []
-    for off in range(count):
-        if ln + off >= len(lines):
-            raise MatrixMarketError(path, len(lines) + 1,
-                                    "expected %d %s, file ended" % (count, what))
+_CHUNK = 1 << 16  # lines parsed or values formatted at a time
+
+
+def _walk(path, ln, lines, want, what, parse):
+    """Parse the body lines `lines`, the first being line ln + 1 of the
+    file, one at a time into columns, raising at the first bad line, or past
+    the last when there are fewer than `want`.  Runs only when the
+    vectorised parse of the chunk has failed."""
+    rows = []
+    for off, line in enumerate(lines):
         try:
-            out.append(parse(lines[ln + off]))
+            rows.append(parse(line))
         except ValueError as exc:
             raise MatrixMarketError(path, ln + off + 1, str(exc)) from None
-    return out
+    if len(lines) < want:
+        raise MatrixMarketError(path, ln + len(lines) + 1,
+                                "expected %s, file ended" % what)
+    return list(zip(*rows))
 
 
 def _parse_value(line):
     try:
-        return float(line)
+        return (float(line),)
     except ValueError:
         raise ValueError("unparseable value %r" % line.strip()) from None
 
@@ -61,26 +68,48 @@ def _parse_entry(m, n):
     return parse
 
 
-def _values(body, count):
+def _values(lines):
     """The array lines as doubles, parsed as float() parses them; ValueError
-    when any line is missing or unparseable."""
-    if len(body) < count:
-        raise ValueError("file ended")
-    return np.array(body, dtype=np.float64)
+    when any line is unparseable."""
+    return (np.array(lines, dtype=np.float64),)
 
 
-def _entries(body, nnz, m, n):
-    """1-based (rows, cols, values) of the coordinate lines, parsed as int()
-    and float() parse them; ValueError or OverflowError when any line is
-    missing, malformed, unparseable or out of range."""
-    if len(body) < nnz or not set(map(len, map(str.split, body))) <= {3}:
-        raise ValueError("malformed entries")
-    tokens = "".join(body).split()
-    i = np.array(tokens[0::3], dtype=np.int64)
-    j = np.array(tokens[1::3], dtype=np.int64)
-    if np.any((i < 1) | (i > m) | (j < 1) | (j > n)):
-        raise ValueError("index out of range")
-    return i, j, np.array(tokens[2::3], dtype=np.float64)
+def _entries(m, n):
+    def parse(lines):
+        """1-based (rows, cols, values) of the coordinate lines, parsed as
+        int() and float() parse them; ValueError or OverflowError when any
+        line is malformed, unparseable or out of range."""
+        if not set(map(len, map(str.split, lines))) <= {3}:
+            raise ValueError("malformed entries")
+        tokens = "".join(lines).split()
+        i = np.array(tokens[0::3], dtype=np.int64)
+        j = np.array(tokens[1::3], dtype=np.int64)
+        if np.any((i < 1) | (i > m) | (j < 1) | (j > n)):
+            raise ValueError("index out of range")
+        return i, j, np.array(tokens[2::3], dtype=np.float64)
+    return parse
+
+
+def _read_body(fh, path, ln, count, what, parse, parse_line, dtypes):
+    """The `count` body lines of fh after line ln, as one preallocated array
+    per dtype, parsed _CHUNK lines at a time, so a read holds the matrix and
+    one chunk of text.  `parse` reads a whole chunk; a chunk it rejects, or
+    one cut short by the end of the file, is walked with `parse_line`."""
+    out = [np.empty(count, dtype=t) for t in dtypes]
+    for s in range(0, count, _CHUNK):
+        want = min(_CHUNK, count - s)
+        lines = list(itertools.islice(fh, want))
+        try:
+            if len(lines) < want:
+                raise ValueError("file ended")
+            cols = parse(lines)
+        except (ValueError, OverflowError):
+            cols = _walk(path, ln + s, lines, want,
+                         "%d %s" % (count, what), parse_line)
+        del lines  # before the next chunk is read
+        for o, c in zip(out, cols):
+            o[s:s + want] = c
+    return out
 
 
 def _check_size(path, ln, sym, dims):
@@ -93,13 +122,17 @@ def _check_size(path, ln, sym, dims):
 def read_matrix(path):
     """Parse a Matrix Market file; coordinate files come back sparse."""
     with open(path, "r") as fh:
-        lines = fh.readlines()
-    if not lines:
+        return _read(fh, path)
+
+
+def _read(fh, path):
+    first = fh.readline()
+    if not first:
         raise MatrixMarketError(path, 1, "empty file")
-    banner = lines[0].split()
+    banner = first.split()
     if (len(banner) != 5 or banner[0] != "%%MatrixMarket"
             or banner[1].lower() != "matrix"):
-        raise MatrixMarketError(path, 1, "malformed banner %r" % lines[0].strip())
+        raise MatrixMarketError(path, 1, "malformed banner %r" % first.strip())
     fmt, field, sym = (w.lower() for w in banner[2:5])
     if fmt not in _FORMATS:
         raise MatrixMarketError(path, 1, "unsupported format %r" % fmt)
@@ -108,13 +141,15 @@ def read_matrix(path):
     if sym not in _SYMMETRIES:
         raise MatrixMarketError(path, 1, "unsupported symmetry %r" % sym)
 
-    # skip comments
+    # skip comments; ln counts the lines read before `line`
     ln = 1
-    while ln < len(lines) and lines[ln].lstrip().startswith("%"):
+    line = fh.readline()
+    while line.lstrip().startswith("%"):
         ln += 1
-    if ln >= len(lines):
+        line = fh.readline()
+    if not line:
         raise MatrixMarketError(path, ln + 1, "missing size line")
-    size = lines[ln].split()
+    size = line.split()
     ln += 1
 
     if fmt == "coordinate":
@@ -125,11 +160,9 @@ def read_matrix(path):
         except ValueError:
             raise MatrixMarketError(path, ln, "non-integer size line")
         _check_size(path, ln, sym, (m, n, nnz))
-        try:
-            i, j, v = _entries(lines[ln:ln + nnz], nnz, m, n)
-        except (ValueError, OverflowError):
-            entries = _walk(path, lines, ln, nnz, "entries", _parse_entry(m, n))
-            i, j, v = (np.array(col) for col in zip(*entries))
+        i, j, v = _read_body(fh, path, ln, nnz, "entries", _entries(m, n),
+                             _parse_entry(m, n),
+                             (np.int64, np.int64, np.float64))
         if sym == "symmetric":
             # each off-diagonal entry is followed by its mirror image
             keep = np.ones(2 * v.size, dtype=bool)
@@ -148,10 +181,8 @@ def read_matrix(path):
         raise MatrixMarketError(path, ln, "non-integer size line")
     _check_size(path, ln, sym, (m, n))
     count = m * n if sym == "general" else m * (m + 1) // 2
-    try:
-        vals = _values(lines[ln:ln + count], count)
-    except ValueError:
-        vals = np.array(_walk(path, lines, ln, count, "values", _parse_value))
+    vals, = _read_body(fh, path, ln, count, "values", _values, _parse_value,
+                       (np.float64,))
     if sym == "general":
         # column-major per the format spec
         return DenseMatrix(vals.reshape((n, m)).T)
@@ -161,9 +192,6 @@ def read_matrix(path):
     a[i, j] = vals
     a[j, i] = vals
     return DenseMatrix(a)
-
-
-_CHUNK = 1 << 16  # values formatted per write: bounds the text held in memory
 
 
 def write_matrix(path, mat):

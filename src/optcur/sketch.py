@@ -47,6 +47,13 @@ def make_sse(n, xi, rng):
     return SparseEmbedding(xi=int(xi), n=int(n), h=h, y=y)
 
 
+def _compressed(w):
+    """W as CSR with its all-zero bucket rows dropped, rows by bucket id."""
+    buckets, compressed = np.unique(w.h, return_inverse=True)
+    return SparseEmbedding(xi=buckets.size, n=w.n, h=compressed,
+                           y=w.y).as_csr()
+
+
 def apply_sse_compressed(w, a):
     """W A with all-zero bucket rows dropped.
 
@@ -55,9 +62,7 @@ def apply_sse_compressed(w, a):
     consumers need; this keeps memory bounded by the number of occupied
     buckets (<= n) even when xi is huge.
     """
-    buckets, compressed = np.unique(w.h, return_inverse=True)
-    occupied = SparseEmbedding(xi=buckets.size, n=w.n, h=compressed, y=w.y)
-    return _matmul(occupied.as_csr(), a)
+    return _matmul(_compressed(w), a)
 
 
 def make_sign_sketch(s, m, rng, scaled=True):

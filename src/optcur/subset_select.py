@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linalg
-from .linalg import as_array
-from .sketch import make_sse, apply_sse_compressed
+from . import linalg, sketch
+from .linalg import _matmul, as_array
+from .sketch import make_sse
 
 _ORTHO_TOL = 1e-6
 
@@ -65,17 +65,35 @@ def bss_sampling(v, a, r):
 
         sigma_k(V^T S) >= 1 - sqrt(k/r)   and   ||A^T S||_F^2 <= ||A||_F^2.
     """
-    v = as_array(v)
     a = as_array(a)
+    return _dual_set_greedy(v, _sq_norms(a), r)
+
+
+def _sq_norms(a, w=None):
+    """Squared row norms of the ndarray a, or of a W^T for a CountSketch W
+    given as CSR, a block of rows at a time (`linalg._blocks`).  Each row is
+    summed in the order np.sum(x * x, axis=1) sums it over the whole array,
+    in C or F order alike."""
+    out = np.empty(a.shape[0])
+    for rows in linalg._blocks(a.shape[0],
+                               a.shape[1] if w is None else w.shape[0]):
+        x = a[rows] if w is None else _matmul(w, a[rows].T).T
+        out[rows] = np.sum(x * x, axis=1)
+    return out
+
+
+def _dual_set_greedy(v, anorms, r):
+    """The barrier greedy of `bss_sampling`, given the squared row norms of
+    the second set."""
+    v = as_array(v)
     n, k = v.shape
-    if a.shape[0] != n:
+    if anorms.shape[0] != n:
         raise ValueError("dual sets must have equal cardinality")
     if not k < r <= n:
         raise ValueError("need k < r <= n")
     if np.max(np.abs(v.T @ v - np.eye(k))) > _ORTHO_TOL:
         raise ValueError("V must have orthonormal columns")
 
-    anorms = np.sum(a * a, axis=1)
     shrink = 1.0 - np.sqrt(k / r)
     delta_u = anorms.sum() / shrink
     if delta_u == 0.0:
@@ -115,14 +133,14 @@ def bss_sampling_sparse(v, a, r, eps, rng):
     """Dual-set sparsification with the second set CountSketch-compressed.
 
     The greedy reads the a_i only through squared norms, so the sketch is
-    applied bucket-compressed: identical norms, memory bounded by the number
-    of occupied buckets even when the prescribed width is enormous.
+    applied bucket-compressed, to a block of the a_i at a time: identical
+    norms, and memory bounded by one block of the occupied buckets even when
+    the prescribed width is enormous.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     a = as_array(a)
     n, ell = a.shape
     xi = int(np.ceil(40.0 * n * n / (eps * eps)))
-    w = make_sse(ell, xi, rng)
-    sketched = apply_sse_compressed(w, a.T).T
-    return bss_sampling(v, sketched, r)
+    w = sketch._compressed(make_sse(ell, xi, rng))
+    return _dual_set_greedy(v, _sq_norms(a, w), r)

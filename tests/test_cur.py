@@ -2,13 +2,16 @@
 bounds at small scale, and evaluation reports."""
 
 import dataclasses
+import functools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from optcur import adaptive, audit, cur, linalg
+from optcur import adaptive, audit, cur, linalg, subset_select
 
 from conftest import lowrank_noise
 
@@ -661,3 +664,84 @@ def test_rank_at_most_k_gives_exact_cur(variant, kind):
         assert rep.exact and rep.ratio == 0.0
         assert rep.rank_u == rank
         assert reconstructible(a, dec)
+
+
+def test_cur_error_sq_raises_when_the_norm_overflows():
+    # at 1e160 ||A||^2 overflows: a typed error, raised before any overflow
+    # warning, as evaluate raises it
+    a = lowrank_noise(80, 60, 5, 0.1, np.random.default_rng(179))
+    cfg = cur.CurConfig(k=2, epsilon=0.5, fidelity="heuristic")
+    dec = cur.decompose(a, cfg, np.random.default_rng(1))
+    big = dataclasses.replace(dec, C=dec.C * 1e160, U=dec.U * 1e-160,
+                              R=dec.R * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NumericalError,
+                           match="norm not representable"):
+            cur.cur_error_sq(a * 1e160, big)
+
+
+# ---------------------------------------------------------------------------
+# the levered BSS first stage
+
+
+def reference_levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
+    """The stage as first written: the scaled gather and the residual
+    E Omega D as two m x h arrays, the picks sliced from the first."""
+    pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
+    msmall = pair.pick_rows(z).T
+    k = z.shape[1]
+    _, s, vt = scipy.linalg.svd(msmall, full_matrices=False)
+    if linalg._rank(s, msmall.shape) < k:
+        return None
+    v_m = vt[:k].T
+    pick = linalg._cols(a, pair.indices) * pair.scales
+    resid = pick - az @ msmall
+    if sparse_eps is None:
+        sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
+    else:
+        sel = subset_select.bss_sampling_sparse(v_m, resid.T, r_bss,
+                                                sparse_eps, rng)
+    return (pick[:, sel.indices] * sel.scales, pair.indices[sel.indices],
+            pair.scales[sel.indices] * sel.scales)
+
+
+@pytest.mark.parametrize("sparse_eps", [None, 0.5])
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("side", ["A", "A^T"])
+def test_levered_bss_stage_output_unchanged(side, kind, sparse_eps):
+    # h = 200 samples over 1200 (or 900) rows make 3 (or 2) blocks of about
+    # 2^16 values, the last of them longer than the others
+    a = sparse_instance(1200, 900, 0.01, 3, 29)
+    a = a if kind == "csr" else a.toarray()
+    a = a.T if side == "A^T" else a
+    rng = np.random.default_rng(31)
+    z = np.linalg.qr(rng.standard_normal((a.shape[1], 3)))[0]
+    az = linalg._matmul(a, z)
+    got = cur._levered_bss_stage(a, z, az, 200, 12,
+                                 np.random.default_rng(7), sparse_eps)
+    want = reference_levered_bss_stage(a, z, az, 200, 12,
+                                       np.random.default_rng(7), sparse_eps)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_levered_bss_stage_holds_one_m_by_h_buffer():
+    # the first form held four m x h arrays at its peak: the scaled gather,
+    # the residual, its CountSketch and the square in the norms
+    m, n, k, h = 4000, 2500, 5, 369
+    a = scipy.sparse.random(m, n, density=0.003, random_state=37,
+                            format="csr")
+    rng = np.random.default_rng(41)
+    z = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    az = linalg._matmul(a, z)
+    stage = functools.partial(cur._levered_bss_stage, a, z, az, h, 4 * k,
+                              sparse_eps=0.5)
+    stage(np.random.default_rng(43))  # warm caches before tracing
+    tracemalloc.start()
+    try:
+        stage(np.random.default_rng(43))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * h * 8 + 2 * 2 ** 20

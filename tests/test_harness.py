@@ -106,6 +106,49 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, lineno):
     assert err.value.lineno == lineno
 
 
+@pytest.mark.parametrize("content,lineno", [
+    ("%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n4\nbad\n6\n", 7),
+    ("%%MatrixMarket matrix array real general\n% c\n3 2\n1\n2\n3\n4\n5\n", 9),
+    ("%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n", 6),
+    ("%%MatrixMarket matrix coordinate real general\n3 3 4\n"
+     "1 1 1\n2 2 2\n3 3 3\n4 1 1\n", 6),
+    ("%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+     "1 1 1\n2 2 2\n3 3 3\n1 x 1\n4 1 1\n", 6),
+    ("%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+     "1 1 1\n2 2 2\n3 3 3\n", 6),
+])
+def test_parse_errors_carry_line_numbers_past_the_first_chunk(
+        tmp_path, monkeypatch, content, lineno):
+    # the body is parsed two lines at a time: line numbers count from the
+    # start of the file, not of the chunk
+    monkeypatch.setattr(mmio, "_CHUNK", 2)
+    path = tmp_path / "bad.mtx"
+    path.write_text(content)
+    with pytest.raises(mmio.MatrixMarketError) as err:
+        mmio.read_matrix(path)
+    assert err.value.lineno == lineno
+
+
+def test_chunked_read_matches_one_chunk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    dense = rng.standard_normal((7, 5))
+    sparse = scipy.sparse.random(9, 6, density=0.4, random_state=8,
+                                 format="csr")
+    paths = [tmp_path / "d.mtx", tmp_path / "s.mtx", tmp_path / "y.mtx"]
+    mmio.write_matrix(paths[0], dense)
+    mmio.write_matrix(paths[1], sparse)
+    paths[2].write_text("%%MatrixMarket matrix array real symmetric\n"
+                        "3 3\n1\n-0.0\n2\n3\n4\n5\n")
+    whole = [mmio.read_matrix(p) for p in paths]
+    monkeypatch.setattr(mmio, "_CHUNK", 4)
+    for p, w in zip(paths, whole):
+        got = mmio.read_matrix(p)
+        if isinstance(w, linalg.SparseMatrix):
+            got, w = got.csr.toarray(), w.csr.toarray()
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(w).view(np.int64))
+
+
 def test_truncated_coordinate_file(tmp_path):
     path = tmp_path / "t.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from optcur import sketch, subset_select
 from optcur.subset_select import (rand_sampling, bss_sampling,
                                   bss_sampling_sparse)
 
@@ -205,3 +206,17 @@ def test_bss_sparse_rejects_bad_eps(rng):
     a = rng.standard_normal((10, 20))
     with pytest.raises(ValueError):
         bss_sampling_sparse(v, a, 4, 1.0, rng)
+
+
+@pytest.mark.parametrize("shape", [(7, 100_000), (365, 2000), (1, 70_000)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blocked_norms_keep_the_whole_array_bits(shape, order):
+    # rows wider than a block, and a remainder of one row, must not switch a
+    # block to another summation order than np.sum over the whole array
+    a = np.asarray(np.random.default_rng(59).standard_normal(shape),
+                   order=order)
+    assert np.array_equal(subset_select._sq_norms(a), np.sum(a * a, axis=1))
+    w = sketch._compressed(sketch.make_sse(shape[1], 10 ** 9,
+                                           np.random.default_rng(61)))
+    x = (w @ a.T).T
+    assert np.array_equal(subset_select._sq_norms(a, w), np.sum(x * x, axis=1))
