@@ -51,7 +51,11 @@ def _distribution(sq_norms, a, alpha):
 def residual_col_distribution(a, v):
     """Exact column distribution of B = A - V V^+ A, via the Pythagorean split
     ||b_j||^2 = ||a_j||^2 - ||Q^T a_j||^2 with Q an orthonormal basis of V."""
-    q = linalg.orthonormal_basis(v)
+    return _residual_distribution(a, linalg.orthonormal_basis(v))
+
+
+def _residual_distribution(a, q):
+    """`residual_col_distribution` given the orthonormal basis Q of V."""
     proj = _matmul(q.T, a)
     sq = _col_sq_norms(a) - np.sum(proj * proj, axis=0)
     return _distribution(sq, a, 1.0)
@@ -140,10 +144,10 @@ def adaptive_rows_d(a, v, r1, r2):
         raise ValueError("need 1 <= r2 <= m")
     shift = -np.frexp(np.max(np.abs(a)))[1]
     a, r1 = np.ldexp(a, shift), np.ldexp(as_array(r1), shift)
-    dist = residual_col_distribution(a.T, r1.T)  # the rows of A - A R1^+ R1
+    q1 = linalg.orthonormal_basis(r1.T)
+    dist = _residual_distribution(a.T, q1)  # the rows of A - A R1^+ R1
     if dist.uniform_fallback:
         return np.arange(r2)
-    q1 = linalg.orthonormal_basis(r1.T)
     e = np.vstack([a - (a @ q1) @ q1.T, np.zeros((1, n))])
     g = e @ (linalg.orthonormal_basis(as_array(v)).T @ a).T
     k, h = e @ e.T, g @ g.T

@@ -109,12 +109,12 @@ def cmd_verify(args):
     stored = report["evaluate"]
     drift = abs(rep.ratio - stored["ratio"])
     ok = drift <= 1e-9 * max(1.0, abs(stored["ratio"]))
-    # the emitted C/R must be actual columns/rows of the input
+    # the emitted C/R must be exactly the columns/rows of the input: %.17g
+    # round-trips every value, and a shape mismatch is unequal
     a = linalg._operand(mat)
     a_cols = linalg._cols(a, dec.col_indices)
     a_rows = linalg._cols(a.T, dec.row_indices).T
-    ok = ok and np.allclose(a_cols, c, atol=1e-12) \
-        and np.allclose(a_rows, r, atol=1e-12)
+    ok = ok and np.array_equal(a_cols, c) and np.array_equal(a_rows, r)
     print(json.dumps({"recomputed": rep.as_dict(),
                       "stored_ratio": stored["ratio"],
                       "ratio_drift": drift, "consistent": bool(ok)}))
@@ -132,8 +132,12 @@ def cmd_bench(args):
     with open(args.suite) as fh:
         entries = json.load(fh)
     # every entry's keys, config, trials and input file are checked first
+    if not isinstance(entries, list):
+        raise ValueError("suite is not a JSON list of objects")
     cfgs = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError("suite entry %d is not a JSON object" % i)
         missing = sorted({"input", "rank", "epsilon"} - set(entry))
         if missing:
             raise ValueError("suite entry %d lacks %s" % (i, ", ".join(missing)))

@@ -7,10 +7,11 @@ rank-k factor inside the selected column span produces Z2, and the row side
 mirrors the procedure against Z2.  The intersection matrix folds all scale
 factors, so the emitted C and R hold raw columns/rows of A.
 `_pipeline` runs it for every variant, with the leaves named in `_SLOTS`.
+The input-sparsity variant runs the linear leaves on a CSR operand; it
+sketches only where a sketch shrinks a dimension, the factor and the core.
 """
 
 import contextlib
-import functools
 import time
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -23,7 +24,6 @@ from . import adaptive, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
 from .linalg import (NumericalError, _check_finite, _cols, _matmul, _operand,
                      as_array, as_sparse)
-from .sketch import make_sse
 
 VARIANTS = ("linear", "sparse", "deterministic")
 _RETRIES = 5  # redraws of a first stage that lost rank, per phase
@@ -59,7 +59,7 @@ class CurConfig:
         return {"linear": 1620.0, "sparse": 4820.0,
                 "deterministic": 10.0}[self.variant] * self.k / self.epsilon
 
-    # the BSS widths, leverage draws and U sketch width follow from k and eps
+    # the BSS widths and leverage draws follow from k and eps
     @property
     def c1_val(self):
         return 4 * self.k
@@ -81,10 +81,6 @@ class CurConfig:
     @property
     def h2_val(self):
         return int(np.ceil(8.0 * self.k * np.log(20.0 * self.k)))
-
-    @property
-    def xi_u_val(self):
-        return int(np.ceil(40.0 * self.k * self.k / (self.epsilon ** 2)))
 
     @property
     def c_total(self):
@@ -134,7 +130,7 @@ def _check_dims(cfg, m, n):
             "config requires r = %d rows but A has only %d" % (cfg.r_total, m))
 
 
-def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
+def _levered_bss_stage(a, z, az, h, r_bss, rng):
     """First stage of the randomized variants, over the columns of A.
 
     h leverage draws from the row norms of z (n x k); their rescaled columns
@@ -143,9 +139,9 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     scaled columns, their indices and scales, or None when the sampled
     leverage matrix lost rank.
 
-    E Omega D is the one m x h buffer of the stage: gathered, scaled and
-    reduced by az @ msmall in place, a block of columns at a time.  Only the
-    r_bss picked columns are gathered again.
+    E Omega D, gathered in C order, is the one m x h buffer of the stage:
+    scaled and reduced by az @ msmall in place, a block of columns at a time.
+    BSS reads its exact norms; only the r_bss picks are gathered again.
     """
     pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
     msmall = pair.pick_rows(z).T  # k x h
@@ -154,17 +150,11 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     if linalg._rank(s, msmall.shape) < k:
         return None
     v_m = vt[:k].T  # right singular vectors of the sampled leverage matrix
-    # C order, as the product az @ msmall gives it, fixes the order in which
-    # BSS sums each dual-set norm; dense and CSC gathers come back in F order
-    resid = np.ascontiguousarray(_cols(a, pair.indices))
+    resid = _cols(a, pair.indices)
     resid *= pair.scales
     for cols in linalg._blocks(resid.shape[1], resid.shape[0]):
         resid[:, cols] -= az @ msmall[:, cols]
-    if sparse_eps is None:
-        sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
-    else:
-        sel = subset_select.bss_sampling_sparse(v_m, resid.T, r_bss,
-                                                sparse_eps, rng)
+    sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
     idx = pair.indices[sel.indices]
     scales = pair.scales[sel.indices]
     return _cols(a, idx) * scales * sel.scales, idx, scales * sel.scales
@@ -183,20 +173,20 @@ def _exact_bss_cols(a, z, az, r_bss):
 # and `adapt` leaf on A for the columns and on A^T for the rows.  Leaves are
 # looked up by name when called, so wrappers installed on module attributes
 # (as perfbench's tracer does) see every call.  `sketched` selects the
-# CountSketch subspace solver and the sketched U regression.
+# CountSketch subspace solver.
+_LINEAR = SimpleNamespace(
+    prepare=as_array,
+    factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng),
+    first=_levered_bss_stage,
+    adapt=lambda a, z, v, c2, rng: adaptive.adaptive_cols(a, v, c2, rng),
+    sketched=False)
 _SLOTS = {
-    "linear": SimpleNamespace(
-        prepare=as_array,
-        factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng),
-        first=_levered_bss_stage,
-        adapt=lambda a, z, v, c2, rng: adaptive.adaptive_cols(a, v, c2, rng),
-        sketched=False),
-    "sparse": SimpleNamespace(
-        prepare=as_sparse,
-        factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng),
-        first=functools.partial(_levered_bss_stage, sparse_eps=0.5),
-        adapt=lambda a, z, v, c2, rng: adaptive.adaptive_cols(a, v, c2, rng),
-        sketched=True),
+    "linear": _LINEAR,
+    # linear's leaves on a CSR operand, with the two sketches that shrink a
+    # dimension: the factor's CountSketch and the subspace solver's
+    "sparse": SimpleNamespace(**dict(
+        vars(_LINEAR), prepare=as_sparse,
+        factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng), sketched=True)),
     # the adaptive target is A Z Z^T: A_k on the column side, where Z1 holds
     # the top right singular vectors of A (any k of them when rank(A) <= k)
     "deterministic": SimpleNamespace(
@@ -263,8 +253,7 @@ def _pipeline(a, cfg, rng, variant):
         rng = np.random.default_rng(cfg.seed)
     a = slots.prepare(a)
     _check_finite(a)
-    m, n = a.shape
-    _check_dims(cfg, m, n)
+    _check_dims(cfg, *a.shape)
     k = cfg.k
     diag = {"variant": variant, "fidelity": cfg.fidelity,
             "retries_used": 0, "stage_seconds": {}, "sketch_caps": []}
@@ -297,17 +286,10 @@ def _pipeline(a, cfg, rng, variant):
         diag["distinct_rows"] = int(rows.size)
         r_raw = _cols(a.T, rows).T
 
-    # the intersection M (L A) R^+: L = Z2^T for min_Y ||C M Y R - A||, and
-    # L = (W Z2)^+ W for the CountSketch regression min_Y ||W (C M Y R - A)||
-    # when the width xi_u compresses the row dimension; W A is never formed
+    # the intersection M (Z2^T A) R^+ solves min_Y ||C M Y R - A|| exactly;
+    # Z2^T A costs k nnz(A), as any k x m left factor would
     with _timed(diag, "intersection"):
-        left = z2.T
-        if slots.sketched and cfg.xi_u_val < m:
-            w = make_sse(m, cfg.xi_u_val, rng).as_csr()
-            left = _matmul(linalg.pinv(_matmul(w, z2)), w)
-        elif slots.sketched:
-            diag["sketch_caps"].append("u_regression_exact")
-        u_raw = sf.M @ linalg.apply_right_pinv(_matmul(left, a), r_raw)
+        u_raw = sf.M @ linalg.apply_right_pinv(_matmul(z2.T, a), r_raw)
         # spread each entry over the draws of its column and row, with the
         # sampling scale factors folded in, so C and R stay raw
         u = col_w[:, None] * u_raw[np.ix_(col_pos, row_pos)] * row_w[None, :]
@@ -325,8 +307,8 @@ def cur_linear_time(a, cfg, rng=None):
 
 
 def cur_input_sparsity(a, cfg, rng=None):
-    """Input-sparsity CUR: sketched factor, core and U, sparse BSS, and
-    exact nnz-time residual draws; no dense m x n intermediate is formed."""
+    """Input-sparsity CUR: the linear pipeline on a CSR operand with a
+    CountSketch factor and core; no dense m x n intermediate is formed."""
     return _pipeline(a, cfg, rng, "sparse")
 
 
@@ -404,7 +386,7 @@ def _error_sq(a, dec, probe, fro):
     step = max(1, linalg._BLOCK // max(a.shape[1], 1))
     err_sq = 0.0
     for i in range(0, a.shape[0], step):
-        rows = slice(i, i + step)
+        rows = np.arange(i, min(i + step, a.shape[0]))
         block = _cols(a.T, rows).T - p[rows] @ t
         err_sq += float(np.sum(block * block))
     return err_sq

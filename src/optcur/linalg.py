@@ -140,11 +140,16 @@ def _matmul(x, y):
 
 
 def _cols(a, idx):
-    """Columns idx of A as an ndarray; a sparse gather is noted with the audit."""
+    """Columns idx of A as a C-order ndarray, for dense, CSR and CSC A alike.
+    A dense gather goes a block of rows at a time, fast whether A is C- or
+    F-order; a sparse one is noted with the audit."""
     a = _operand(a)
     if not scipy.sparse.issparse(a):
-        return a[:, idx]
-    out = a[:, idx].toarray()
+        out = np.empty((a.shape[0], len(idx)))
+        for rows in _blocks(a.shape[0], len(idx)):
+            out[rows] = a[rows][:, idx]
+        return out
+    out = a[:, idx].toarray(order="C")
     audit.note_dense(out.size)
     return out
 

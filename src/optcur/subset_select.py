@@ -9,7 +9,7 @@ Three selection primitives:
   weighted indices keeping sigma_k of one vector set bounded below while the
   Frobenius mass of a second set stays bounded above.
 * bss_sampling_sparse -- same greedy run on CountSketch-compressed dual
-  vectors, so the cost depends on the sketch, not the ambient dimension.
+  vectors; an exported primitive that no pipeline calls.
 """
 
 from dataclasses import dataclass

@@ -61,7 +61,6 @@ def test_config_defaults_per_variant():
     assert cfg.c2_val == 32  # 8 k / eps
     assert cfg.h1_val == int(np.ceil(16 * 2 * np.log(40)))
     assert cfg.h2_val == int(np.ceil(8 * 2 * np.log(40)))
-    assert cfg.xi_u_val == int(np.ceil(40 * 4 / 0.25))
 
 
 def test_config_validation():
@@ -90,7 +89,7 @@ def test_config_overrides():
     cfg = cur.CurConfig(k=2, epsilon=0.5, c2=7, r2=9)
     assert cfg.c2_val == 7 and cfg.r2_val == 9
     assert cfg.c_total == 8 + 7 and cfg.r_total == 8 + 9
-    assert cfg.h1_val == 119 and cfg.h2_val == 60 and cfg.xi_u_val == 640
+    assert cfg.h1_val == 119 and cfg.h2_val == 60
 
 
 def test_config_fields():
@@ -275,20 +274,33 @@ def test_sparse_adaptive_draws_skip_the_sign_sketch(monkeypatch):
     assert dec.C.shape == (400, cfg.c_total)
 
 
-def test_sparse_sketched_u_regression():
-    # take the sketched intersection path (xi_u = 563 below the 600 rows)
-    # and check the result still meets the relative-error target and rank
-    # cap; the regression applies (W Z2)^+ W to A, never forming the dense W A
+def test_sparse_bss_reads_the_exact_dual_set_norms(monkeypatch):
+    # the CountSketch of the dual set would read every entry of the m x h
+    # residual the stage has already formed, so BSS runs on its exact norms
+    def sketched(*args):
+        raise AssertionError("sketched BSS called")
+
+    monkeypatch.setattr(subset_select, "bss_sampling_sparse", sketched)
+    a = sparse_instance(400, 300, 0.02, 3, 13)
+    cfg = cur.CurConfig(k=3, epsilon=0.5, variant="sparse",
+                        fidelity="heuristic")
+    with audit.forbid_dense(400 * 300):
+        dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(1))
+    assert dec.C.shape == (400, cfg.c_total)
+
+
+def test_sparse_u_solves_the_exact_regression():
+    # U minimizes ||C U R - A|| over the rank-k range Q of C U: the residual
+    # projected onto Q and onto the row space of R vanishes
     a = sparse_instance(600, 500, 0.02, 3, 17)
     cfg = cur.CurConfig(k=3, epsilon=0.8, variant="sparse",
                         fidelity="heuristic")
-    assert cfg.xi_u_val < a.shape[0]
-    with audit.forbid_dense(cfg.xi_u_val * a.shape[1]):
-        dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(3))
-    assert "u_regression_exact" not in dec.diagnostics["sketch_caps"]
-    rep = cur.evaluate(a, dec)
-    assert rep.ratio <= 2.5
-    assert rep.rank_u <= 3
+    dec = cur.cur_input_sparsity(a, cfg, np.random.default_rng(3))
+    dense = a.toarray()
+    q = np.linalg.svd(dec.C @ dec.U, full_matrices=False)[0][:, :3]
+    resid = q.T @ (dense - dec.C @ dec.U @ dec.R)
+    proj = resid @ np.linalg.pinv(dec.R) @ dec.R
+    assert np.linalg.norm(proj) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_sparse_exact_rank_k():
@@ -685,7 +697,7 @@ def test_cur_error_sq_raises_when_the_norm_overflows():
 # the levered BSS first stage
 
 
-def reference_levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
+def reference_levered_bss_stage(a, z, az, h, r_bss, rng):
     """The stage as first written: the scaled gather and the residual
     E Omega D as two m x h arrays, the picks sliced from the first."""
     pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
@@ -697,19 +709,14 @@ def reference_levered_bss_stage(a, z, az, h, r_bss, rng, sparse_eps=None):
     v_m = vt[:k].T
     pick = linalg._cols(a, pair.indices) * pair.scales
     resid = pick - az @ msmall
-    if sparse_eps is None:
-        sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
-    else:
-        sel = subset_select.bss_sampling_sparse(v_m, resid.T, r_bss,
-                                                sparse_eps, rng)
+    sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
     return (pick[:, sel.indices] * sel.scales, pair.indices[sel.indices],
             pair.scales[sel.indices] * sel.scales)
 
 
-@pytest.mark.parametrize("sparse_eps", [None, 0.5])
 @pytest.mark.parametrize("kind", ["dense", "csr"])
 @pytest.mark.parametrize("side", ["A", "A^T"])
-def test_levered_bss_stage_output_unchanged(side, kind, sparse_eps):
+def test_levered_bss_stage_output_unchanged(side, kind):
     # h = 200 samples over 1200 (or 900) rows make 3 (or 2) blocks of about
     # 2^16 values, the last of them longer than the others
     a = sparse_instance(1200, 900, 0.01, 3, 29)
@@ -718,25 +725,31 @@ def test_levered_bss_stage_output_unchanged(side, kind, sparse_eps):
     rng = np.random.default_rng(31)
     z = np.linalg.qr(rng.standard_normal((a.shape[1], 3)))[0]
     az = linalg._matmul(a, z)
-    got = cur._levered_bss_stage(a, z, az, 200, 12,
-                                 np.random.default_rng(7), sparse_eps)
+    got = cur._levered_bss_stage(a, z, az, 200, 12, np.random.default_rng(7))
     want = reference_levered_bss_stage(a, z, az, 200, 12,
-                                       np.random.default_rng(7), sparse_eps)
+                                       np.random.default_rng(7))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
 
-def test_levered_bss_stage_holds_one_m_by_h_buffer():
+@pytest.mark.parametrize("kind", ["csr", "dense", "dense-A^T"])
+def test_levered_bss_stage_holds_one_m_by_h_buffer(kind):
     # the first form held four m x h arrays at its peak: the scaled gather,
-    # the residual, its CountSketch and the square in the norms
+    # the residual, its CountSketch and the square in the norms; a dense
+    # gather in F order needed a second buffer for its C-order copy, on the
+    # column side (A) and on the row side (A^T, an F-order view) alike
     m, n, k, h = 4000, 2500, 5, 369
-    a = scipy.sparse.random(m, n, density=0.003, random_state=37,
-                            format="csr")
+    if kind == "dense-A^T":
+        a = scipy.sparse.random(n, m, density=0.003, random_state=37,
+                                format="csr").toarray().T
+    else:
+        a = scipy.sparse.random(m, n, density=0.003, random_state=37,
+                                format="csr")
+        a = a if kind == "csr" else a.toarray()
     rng = np.random.default_rng(41)
     z = np.linalg.qr(rng.standard_normal((n, k)))[0]
     az = linalg._matmul(a, z)
-    stage = functools.partial(cur._levered_bss_stage, a, z, az, h, 4 * k,
-                              sparse_eps=0.5)
+    stage = functools.partial(cur._levered_bss_stage, a, z, az, h, 4 * k)
     stage(np.random.default_rng(43))  # warm caches before tracing
     tracemalloc.start()
     try:

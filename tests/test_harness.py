@@ -397,6 +397,22 @@ def test_verify_detects_tampering(tmp_path):
                     "--decomposition", out]) == 3
 
 
+@pytest.mark.parametrize("name", ["C.mtx", "R.mtx"])
+def test_verify_detects_one_tampered_entry_of_c_or_r(tmp_path, name):
+    # %.17g round-trips C and R exactly, so one entry scaled by 1 + 1e-6 is
+    # no longer a column (row) of A, though the error barely moves
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 0
+    x = np.array(mmio.read_matrix(out / name))
+    x[0, 0] *= 1.0 + 1e-6
+    mmio.write_matrix(out / name, x)
+    assert run_cli(["verify", "--input", inp,
+                    "--decomposition", out]) == 3
+
+
 def test_verify_exits_3_when_a_norm_overflows(tmp_path, capsys):
     # at 1e160 ||A||^2 overflows; evaluate used to report err_sq=inf,
     # opt_sq=0, ratio=0 and exact=True for a decomposition scaled to match
@@ -518,11 +534,13 @@ SUITE_ENTRY = {"input": None, "rank": 2, "epsilon": 1.0,
                                   "unknown-key", "trials-0-after-good",
                                   "trials-str-after-good",
                                   "missing-input-after-good",
-                                  "null-input-after-good"])
+                                  "null-input-after-good", "suite-object",
+                                  "number-after-good", "list-after-good"])
 def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
-    # a trial count below 1 and a suite entry without a required key, with
-    # an unknown one, with a bad trial count or a missing input file are
-    # argument errors: exit 2, and nothing runs or is written
+    # a trial count below 1, a suite that is not a list of objects, and a
+    # suite entry without a required key, with an unknown one, with a bad
+    # trial count or a missing input file are argument errors: exit 2, and
+    # nothing runs or is written
     inp = write_test_matrix(tmp_path)
     out = tmp_path / "out"
     if case.startswith("decompose"):
@@ -545,6 +563,12 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
         entries = [good, dict(good, input=str(tmp_path / "missing.mtx"))]
     elif case == "null-input-after-good":
         entries = [good, dict(good, input=None)]
+    elif case == "suite-object":
+        entries = {"input": str(inp)}
+    elif case == "number-after-good":
+        entries = [good, 5]
+    elif case == "list-after-good":
+        entries = [good, ["input", "rank", "epsilon"]]
     else:
         bad = dict(good)
         del bad[case[len("no-"):]]
@@ -552,7 +576,10 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps(entries))
     assert run_cli(["bench", "--suite", suite]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if case in ("suite-object", "number-after-good", "list-after-good"):
+        assert "not a JSON" in captured.err
 
 
 @pytest.mark.parametrize(

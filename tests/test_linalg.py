@@ -439,3 +439,16 @@ def test_top_k_all_zero_operand(kind, monkeypatch):
     assert np.array_equal(s, np.zeros(3))
     assert np.array_equal(v, np.eye(420, 3))
     assert spectral_norm(x) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["C", "F", "csr", "csc"])
+def test_cols_gathers_in_c_order(kind):
+    # repeats, unsorted indices, and more rows than one block of the gather
+    a = np.random.default_rng(3).standard_normal((70000, 6))
+    src = {"C": a, "F": np.asfortranarray(a),
+           "csr": scipy.sparse.csr_matrix(a),
+           "csc": scipy.sparse.csc_matrix(a)}[kind]
+    idx = np.array([4, 0, 4, 2])
+    out = linalg._cols(src, idx)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, a[:, idx])
