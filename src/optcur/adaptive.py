@@ -11,6 +11,7 @@ set-dependent term is tr(K_SS^+ H_SS), for two Gram matrices formed once,
 so one batch scores the members sharing a hash coefficient.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +106,7 @@ def discretize(p):
 
 
 def _next_prime(x):
-    def is_prime(v):
-        if v < 2:
-            return False
-        f = 2
-        while f * f <= v:
-            if v % f == 0:
-                return False
-            f += 1
-        return True
-
-    while not is_prime(x):
+    while x < 2 or any(x % f == 0 for f in range(2, math.isqrt(x) + 1)):
         x += 1
     return x
 

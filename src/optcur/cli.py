@@ -99,6 +99,14 @@ def cmd_verify(args):
         idx = json.load(fh)
     with open(os.path.join(ddir, "report.json")) as fh:
         report = json.load(fh)
+    # indices must be JSON lists of integers naming columns and rows of A
+    for name, size in (("col_indices", mat.shape[1]), ("row_indices", mat.shape[0])):
+        ids = idx.get(name) if isinstance(idx, dict) else None
+        if not isinstance(ids, list) or not all(
+                type(i) is int and 0 <= i < size for i in ids):
+            print(json.dumps({"consistent": False, "error": "%s is not a list "
+                              "of integers in [0, %d)" % (name, size)}))
+            return EXIT_NUMERICAL
     dec = cur.CurDecomposition(
         col_indices=np.array(idx["col_indices"], dtype=int),
         col_scales=np.array(idx["col_scales"]),

@@ -270,7 +270,7 @@ def _pipeline(a, cfg, rng, variant):
     with _timed(diag, "subspace"):
         cols, col_pos, col_w = _distinct(col_idx, col_scales)
         diag["distinct_cols"] = int(cols.size)
-        c_raw = _cols(a, cols)
+        c_raw = _cols(a, cols, "F")  # LAPACK's layout
         if slots.sketched:
             sf = subspace.approx_subspace_svd(a, c_raw, k, cfg.epsilon, rng)
             if not sf.sketched:
@@ -284,7 +284,7 @@ def _pipeline(a, cfg, rng, variant):
             a.T, z2, slots, cfg.h2_val, cfg.r1_val, cfg.r2_val, rng, diag)
         rows, row_pos, row_w = _distinct(row_idx, row_scales)
         diag["distinct_rows"] = int(rows.size)
-        r_raw = _cols(a.T, rows).T
+        r_raw = _cols(a.T, rows, "F").T
 
     # the intersection M (Z2^T A) R^+ solves min_Y ||C M Y R - A|| exactly;
     # Z2^T A costs k nnz(A), as any k x m left factor would
@@ -367,8 +367,8 @@ def cur_error_sq(a, dec):
 
 def _error_sq(a, dec, probe, fro):
     """||A - C U R||_F^2 as ||A - P T||^2, P = C Q and T = B R, with U = Q B
-    from `linalg._range_probe(U)` as `probe`, so rank(U) bounds the cost, and
-    fro = ||A||^2.
+    from `linalg._range_probe(U)` as `probe` (Q = None for the identity), so
+    rank(U) bounds the cost, and fro = ||A||^2.
 
     The Gram form ||A||^2 - 2<P^T A, T> + ||P T||^2 carries a rounding error
     of about eps * (||A||^2 + ||P T||^2), so an error below 1e-3 of that
@@ -376,7 +376,7 @@ def _error_sq(a, dec, probe, fro):
     instead, a block of rows at a time (on dense A in as many flops)."""
     a = _operand(a)
     q, b = probe
-    p = dec.C @ q
+    p = dec.C if q is None else dec.C @ q
     t = b @ dec.R
     cross = float(np.sum(_matmul(p.T, a) * t))
     norm_pt = float(np.sum((p.T @ p) @ t * t))

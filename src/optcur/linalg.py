@@ -139,17 +139,17 @@ def _matmul(x, y):
     return out.toarray() if scipy.sparse.issparse(out) else np.asarray(out)
 
 
-def _cols(a, idx):
-    """Columns idx of A as a C-order ndarray, for dense, CSR and CSC A alike.
-    A dense gather goes a block of rows at a time, fast whether A is C- or
-    F-order; a sparse one is noted with the audit."""
+def _cols(a, idx, order="C"):
+    """Columns idx of A as an ndarray in `order`, for dense, CSR and CSC A
+    alike.  A dense gather goes a block of rows at a time, fast whether A is
+    C- or F-order; a sparse one is noted with the audit."""
     a = _operand(a)
     if not scipy.sparse.issparse(a):
-        out = np.empty((a.shape[0], len(idx)))
+        out = np.empty((a.shape[0], len(idx)), order=order)
         for rows in _blocks(a.shape[0], len(idx)):
             out[rows] = a[rows][:, idx]
         return out
-    out = a[:, idx].toarray(order="C")
+    out = a[:, idx].toarray(order=order)
     audit.note_dense(out.size)
     return out
 
@@ -271,48 +271,70 @@ def orthonormal_basis(a):
     return svd(a).U_A
 
 
-def _basis(v, width=0):
+def _lapack(f, *args, **kw):
+    """The first output of LAPACK routine f, with the workspace it asks for."""
+    return f(*args, lwork=int(f(*args, lwork=-1, **kw)[-2][0]), **kw)[0]
+
+
+def _basis(v, width=0, x=None):
     """(Y, rho, solve) for an m x c ndarray V: the first rho = rank(V) of the
     orthonormal columns of Y span range(V), and solve(X) = V^+ Y[:, :rho] X
     for X with rho rows.  Y has c columns when rho = c, and otherwise
-    max(rho, width), for width <= min(m, c).
+    max(rho, width), for width <= min(m, c); given an m x l X, Y^T X comes
+    in its place and Y is not formed.
 
-    One economy QR V = Q T.  When m >= c and the diagonal of T shows full
-    rank, Y = Q and solve is one triangular solve.  Otherwise one SVD
-    T = U S W^T gives Y = Q U and solve(X) = W S^-1 X over the first rho.
-    One cutoff serves both tests: a diagonal entry or a singular value
-    counts when it exceeds max(m, c) * RANK_RTOL times the largest.
+    One QR V = Q T, Q kept as Householder reflectors (LAPACK orgqr forms Q,
+    ormqr applies it).  When m >= c and T's diagonal shows full rank, Y = Q
+    and solve is one triangular solve.  Otherwise the SVD U S W^T of T, or of
+    B in a range probe T = Q_w B when one fits (U = Q_w U_B), gives Y = Q U
+    and solve(X) = W S^-1 X over the first rho.  Every test cuts at
+    max(m, c) * RANK_RTOL times the largest diagonal entry or singular value;
+    the first is at most sigma_1(T), so a probe drops nothing the SVD keeps.
     """
     m, c = v.shape
-    q, t = scipy.linalg.qr(v, mode="economic")
+    (h, tau), t = scipy.linalg.qr(v, mode="raw")
+    h, ormqr = h[:, :tau.size], scipy.linalg.lapack.dormqr
     d = np.abs(np.diag(t))
-    if m >= c and d.min() > max(m, c) * d.max() * RANK_RTOL:
-        return q, c, lambda x: scipy.linalg.solve_triangular(t, x)
-    u, s, wt = _lapack_svd(t, full_matrices=False)
-    rho = _rank(s, v.shape)
-    w = wt[:rho].T / s[:rho]
-    return q @ u[:, :max(rho, width)], rho, lambda x: w @ x
+    cut = max(m, c) * RANK_RTOL * d.max()
+    if m >= c and d.min() > cut:
+        u, rho, solve = None, c, lambda x: scipy.linalg.solve_triangular(t, x)
+    else:
+        q, b = _range_probe(t, width, cut * cut)
+        u, s, wt = _lapack_svd(b, full_matrices=False)
+        rho = _rank(s, v.shape)
+        u = (u if q is None else q @ u)[:, :max(rho, width)]
+        w = wt[:rho].T / s[:rho]
+        solve = lambda x: w @ x
+    if x is not None:
+        x = _lapack(ormqr, "L", "T", h, tau, x)[:tau.size]
+        return x if u is None else u.T @ x, rho, solve
+    if u is None:
+        return _lapack(scipy.linalg.lapack.dorgqr, h, tau, overwrite_a=1), rho, solve
+    u = np.vstack([u, np.zeros((m - tau.size, u.shape[1]))])
+    return _lapack(ormqr, "L", "N", h, tau, u), rho, solve
 
 
 def apply_right_pinv(g, r):
-    """G R^+ = solve((G Y)^T)^T, with (Y, rho, solve) = _basis(R^T)."""
-    y, _, solve = _basis(np.asarray(r).T)
-    return solve((np.asarray(g) @ y).T).T
+    """G R^+ = solve(Y^T G^T)^T by `_basis(R^T, x=G^T)`, which forms no Q."""
+    x, _, solve = _basis(np.asarray(r).T, x=np.asarray(g).T)
+    return solve(x).T
 
 
-def _range_probe(a):
-    """(Q, B), A = Q B with B = Q^T A of the rank of A, from random range
-    probes of width 8, 32, ... accepted once ||A - Q B||^2 <= 1e-24 ||A||^2
-    (Halko-Martinsson-Tropp 4.3); (I, A) when A is small or not low rank."""
+def _range_probe(a, rank=0, tol_sq=None):
+    """(Q, B), A = Q B with B = Q^T A, from the first random range probe Q
+    of width max(8, rank), 4 times that, ... up to min(m, n) / 2 with
+    ||A - Q B||_F^2 <= tol_sq, by default 1e-24 ||A||_F^2
+    (Halko-Martinsson-Tropp 4.3); (None, A) when A is small or none fits."""
     a = np.asarray(a)
     m, n = a.shape
     rng = np.random.default_rng(12345)
-    width = 8
+    width = max(8, rank)
     while min(m, n) > 32 and width <= min(m, n) // 2:
         y = a @ rng.standard_normal((n, width))
         q = scipy.linalg.qr(y, mode="economic")[0]
         b = q.T @ a
-        if frobenius_sq(a - q @ b) <= 1e-24 * frobenius_sq(a):
+        res = frobenius_sq(a - q @ b)
+        if res <= (1e-24 * frobenius_sq(a) if tol_sq is None else tol_sq):
             return q, b
         width *= 4
-    return np.eye(m), a
+    return None, a

@@ -112,13 +112,6 @@ def _read_body(fh, path, ln, count, what, parse, parse_line, dtypes):
     return out
 
 
-def _check_size(path, ln, sym, dims):
-    if min(dims) < 0:
-        raise MatrixMarketError(path, ln, "negative size in size line")
-    if sym == "symmetric" and dims[0] != dims[1]:
-        raise MatrixMarketError(path, ln, "symmetric matrix must be square")
-
-
 def read_matrix(path):
     """Parse a Matrix Market file; coordinate files come back sparse."""
     with open(path, "r") as fh:
@@ -151,15 +144,21 @@ def _read(fh, path):
         raise MatrixMarketError(path, ln + 1, "missing size line")
     size = line.split()
     ln += 1
+    fields = 3 if fmt == "coordinate" else 2
+    if len(size) != fields:
+        raise MatrixMarketError(path, ln, "%s size line needs %d fields"
+                                % (fmt, fields))
+    try:
+        dims = tuple(int(w) for w in size)
+    except ValueError:
+        raise MatrixMarketError(path, ln, "non-integer size line")
+    if min(dims) < 0:
+        raise MatrixMarketError(path, ln, "negative size in size line")
+    if sym == "symmetric" and dims[0] != dims[1]:
+        raise MatrixMarketError(path, ln, "symmetric matrix must be square")
 
     if fmt == "coordinate":
-        if len(size) != 3:
-            raise MatrixMarketError(path, ln, "coordinate size line needs 3 fields")
-        try:
-            m, n, nnz = (int(w) for w in size)
-        except ValueError:
-            raise MatrixMarketError(path, ln, "non-integer size line")
-        _check_size(path, ln, sym, (m, n, nnz))
+        m, n, nnz = dims
         i, j, v = _read_body(fh, path, ln, nnz, "entries", _entries(m, n),
                              _parse_entry(m, n),
                              (np.int64, np.int64, np.float64))
@@ -173,13 +172,7 @@ def _read(fh, path):
         mat = scipy.sparse.coo_matrix((v, (i - 1, j - 1)), shape=(m, n))
         return SparseMatrix(mat.tocsr())
 
-    if len(size) != 2:
-        raise MatrixMarketError(path, ln, "array size line needs 2 fields")
-    try:
-        m, n = (int(w) for w in size)
-    except ValueError:
-        raise MatrixMarketError(path, ln, "non-integer size line")
-    _check_size(path, ln, sym, (m, n))
+    m, n = dims
     count = m * n if sym == "general" else m * (m + 1) // 2
     vals, = _read_body(fh, path, ln, count, "values", _values, _parse_value,
                        (np.float64,))

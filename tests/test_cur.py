@@ -490,6 +490,35 @@ def test_rank_deficient_triangles_factored_once(monkeypatch):
     assert cur.evaluate(a, dec).exact
 
 
+def test_singular_triangles_past_the_probe_floor_are_probed(monkeypatch):
+    # With c~ and r~ above the range probe's floor of 32, the singular
+    # triangles of an exactly rank-2 input are factored through a small
+    # probed block, and the full SVD of neither triangle runs.
+    a = (np.random.default_rng(181).standard_normal((400, 2))
+         @ np.random.default_rng(191).standard_normal((2, 400)))
+    seen = []
+    real = scipy.linalg.svd
+
+    def counting(x, *args, **kwargs):
+        x_arr = np.asarray(x)
+        if (x_arr.ndim == 2 and x_arr.shape[0] == x_arr.shape[1] > 1
+                and np.array_equal(x_arr, np.triu(x_arr))):
+            seen.append(x_arr.shape[0])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counting)
+    cfg = cur.CurConfig(k=2, epsilon=0.5, fidelity="heuristic", c2=120,
+                        r2=120)
+    dec = cur.decompose(a, cfg, np.random.default_rng(5))
+    monkeypatch.undo()
+    sizes = {dec.diagnostics["distinct_cols"], dec.diagnostics["distinct_rows"]}
+    assert min(sizes) > 32
+    assert not sizes & set(seen)
+    rep = cur.evaluate(a, dec)
+    assert rep.exact
+    assert np.sqrt(rep.err_sq / linalg.frobenius_sq(a)) <= 1e-8
+
+
 @pytest.mark.parametrize("variant", ["linear", "sparse"])
 @pytest.mark.parametrize("wide", [True, False])
 def test_more_distinct_draws_than_the_other_side(variant, wide):

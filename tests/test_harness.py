@@ -413,6 +413,39 @@ def test_verify_detects_one_tampered_entry_of_c_or_r(tmp_path, name):
                     "--decomposition", out]) == 3
 
 
+@pytest.mark.parametrize("case", ["past_the_end", "negative", "float",
+                                  "missing", "not_a_list", "not_an_object"])
+def test_verify_rejects_indices_that_name_no_column(tmp_path, capsys, case):
+    # 35 on a 40 x 35 input used to end in an IndexError traceback, and a
+    # missing or scalar entry, or a file holding no JSON object, in another
+    # traceback; j - 35 wraps onto column j, and j.0 was read as j, so both
+    # passed as consistent
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 0
+    with open(out / "indices.json") as fh:
+        idx = json.load(fh)
+    j = idx["col_indices"][0]
+    if case == "missing":
+        del idx["col_indices"]
+    elif case == "not_a_list":
+        idx["col_indices"] = j
+    elif case == "not_an_object":
+        idx = [idx["col_indices"], idx["row_indices"]]
+    else:
+        idx["col_indices"][0] = {"past_the_end": 35, "negative": j - 35,
+                                 "float": float(j)}[case]
+    with open(out / "indices.json", "w") as fh:
+        json.dump(idx, fh)
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", inp, "--decomposition", out]) == 3
+    res = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert res["consistent"] is False
+    assert "col_indices" in res["error"]
+
+
 def test_verify_exits_3_when_a_norm_overflows(tmp_path, capsys):
     # at 1e160 ||A||^2 overflows; evaluate used to report err_sq=inf,
     # opt_sq=0, ratio=0 and exact=True for a decomposition scaled to match

@@ -281,6 +281,33 @@ def test_apply_right_pinv_matches_direct(rng):
     assert np.allclose(linalg.apply_right_pinv(g, r_def), direct, atol=1e-9)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", ["tall", "wide", "duplicate_rows"])
+def test_apply_right_pinv_applies_the_reflectors(shape, order, monkeypatch):
+    # the QR of R^T keeps its Householder reflectors (mode="raw"), and Q^T
+    # reaches the rows of G through them, so no Q is formed
+    rng = np.random.default_rng(83)
+    r = rng.standard_normal({"tall": (30, 20), "wide": (6, 20),
+                             "duplicate_rows": (6, 20)}[shape])
+    if shape == "duplicate_rows":
+        r = np.vstack([r, r[[4, 1, 4]]])
+    r = np.asarray(r, order=order)
+    g = np.asarray(rng.standard_normal((3, 20)), order=order)
+    modes = []
+    real = scipy.linalg.qr
+
+    def recording(x, *args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording)
+    got = linalg.apply_right_pinv(g, r)
+    monkeypatch.undo()
+    assert modes == ["raw"]
+    direct = g @ np.linalg.pinv(r)
+    assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
 def test_range_probe_rank_small_and_probed(rng):
     a = rng.standard_normal((200, 3)) @ rng.standard_normal((3, 150))
     assert probed_rank(a) == 3
@@ -451,4 +478,18 @@ def test_cols_gathers_in_c_order(kind):
     idx = np.array([4, 0, 4, 2])
     out = linalg._cols(src, idx)
     assert out.flags.c_contiguous
+    assert np.array_equal(out, a[:, idx])
+
+
+@pytest.mark.parametrize("kind", ["C", "F", "csr", "csc"])
+def test_cols_gathers_in_f_order(kind):
+    # the selected sets go to LAPACK with their columns contiguous, from
+    # C- and F-order operands alike
+    a = np.random.default_rng(5).standard_normal((70000, 6))
+    src = {"C": a, "F": np.asfortranarray(a),
+           "csr": scipy.sparse.csr_matrix(a),
+           "csc": scipy.sparse.csc_matrix(a)}[kind]
+    idx = np.array([4, 0, 4, 2])
+    out = linalg._cols(src, idx, "F")
+    assert out.flags.f_contiguous
     assert np.array_equal(out, a[:, idx])
