@@ -26,27 +26,16 @@ _ZERO_RTOL = 1e-13
 @dataclass(frozen=True)
 class ResidualDistribution:
     p: np.ndarray  # sums to 1
-    alpha: float  # guaranteed floor factor vs the exact residual distribution
     uniform_fallback: bool  # residual was (numerically) zero
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """p discretized to multiples of 1/(4n), except at the mode i*."""
-
-    q: np.ndarray
-    counts: np.ndarray  # integer grid counts, sum = 4n
-    i_star: int
-    grid: int  # 4n
-
-
-def _distribution(sq_norms, a, alpha):
+def _distribution(sq_norms, a):
     """Residual column mass to a distribution; uniform when numerically 0."""
     sq = np.clip(sq_norms, 0.0, None)
     total = sq.sum()
     if total <= _ZERO_RTOL * linalg.frobenius_sq(a):
-        return ResidualDistribution(np.full(sq.size, 1 / sq.size), alpha, True)
-    return ResidualDistribution(sq / total, alpha, False)
+        return ResidualDistribution(np.full(sq.size, 1 / sq.size), True)
+    return ResidualDistribution(sq / total, False)
 
 
 def residual_col_distribution(a, v):
@@ -59,7 +48,7 @@ def _residual_distribution(a, q):
     """`residual_col_distribution` given the orthonormal basis Q of V."""
     proj = _matmul(q.T, a)
     sq = _col_sq_norms(a) - np.sum(proj * proj, axis=0)
-    return _distribution(sq, a, 1.0)
+    return _distribution(sq, a)
 
 
 def sketched_col_distribution(a, v, rng):
@@ -73,7 +62,7 @@ def sketched_col_distribution(a, v, rng):
     v = as_array(v)
     vpa = _matmul(linalg.pinv(v), a)
     bt = _matmul(s.S, a) - (s.S @ v) @ vpa
-    return _distribution(np.sum(bt * bt, axis=0), a, 1.0 / 3.0)
+    return _distribution(np.sum(bt * bt, axis=0), a)
 
 
 def adaptive_cols(a, v, c2, rng):
@@ -90,8 +79,9 @@ def adaptive_cols(a, v, c2, rng):
 
 
 def discretize(p):
-    """Round p to the 1/(4n) grid: half the mass stays put at the mode i*,
-    every other mass is halved then rounded up, corrections charged to i*."""
+    """p on the 1/(4n) grid, as integer counts summing to 4n: half the mass
+    stays put at the mode i*, every other mass is halved then rounded up,
+    corrections charged to i*, which must keep at least n."""
     p = np.asarray(p, dtype=np.float64)
     n = p.shape[0]
     grid = 4 * n
@@ -101,8 +91,7 @@ def discretize(p):
     counts[i_star] = grid - counts.sum()
     if counts[i_star] < grid // 4:
         raise linalg.NumericalError("mode mass fell below 1/4 after rounding")
-    return DiscreteDistribution(q=counts / grid, counts=counts,
-                                i_star=i_star, grid=grid)
+    return counts
 
 
 def _next_prime(x):
@@ -142,7 +131,7 @@ def adaptive_rows_d(a, v, r1, r2):
     e = np.vstack([a - (a @ q1) @ q1.T, np.zeros((1, n))])
     g = e @ (linalg.orthonormal_basis(as_array(v)).T @ a).T
     k, h = e @ e.T, g @ g.T
-    cum = np.cumsum(discretize(dist.p).counts)
+    cum = np.cumsum(discretize(dist.p))
     p = _next_prime(4 * m)
     xs, bs = np.arange(r2), np.arange(p)[:, None]
     best = None

@@ -60,9 +60,8 @@ def cmd_decompose(args):
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    mmio.write_matrix(os.path.join(out_dir, "C.mtx"), dec.C)
-    mmio.write_matrix(os.path.join(out_dir, "U.mtx"), dec.U)
-    mmio.write_matrix(os.path.join(out_dir, "R.mtx"), dec.R)
+    for name, x in zip("CUR", (dec.C, dec.U, dec.R)):
+        mmio.write_matrix(os.path.join(out_dir, name + ".mtx"), x)
     # json writes np.float64 as the float it is; arrays and other numpy
     # scalars go through tolist
     with open(os.path.join(out_dir, "indices.json"), "w") as fh:
@@ -89,30 +88,45 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
+def _artifact_error(mat, idx, report):
+    """Why indices.json `idx` and report.json `report` describe no
+    decomposition of `mat`, or None; checked before any gather."""
+    idx = idx if isinstance(idx, dict) else {}
+    for side, size in (("col", mat.shape[1]), ("row", mat.shape[0])):
+        ids, scales = idx.get(side + "_indices"), idx.get(side + "_scales")
+        if not (isinstance(ids, list) and all(
+                type(i) is int and 0 <= i < size for i in ids)):
+            return "%s_indices are not integers in [0, %d)" % (side, size)
+        if not (isinstance(scales, list) and len(scales) == len(ids) and all(
+                type(x) is int or type(x) is float and np.isfinite(x)
+                for x in scales)):
+            return "%s_scales are not %d finite numbers" % (side, len(ids))
+    if not (type(idx.get("k")) is int and idx["k"] >= 1):
+        return "k is not an integer >= 1"
+    ev = report.get("evaluate") if isinstance(report, dict) else None
+    if not (isinstance(ev, dict) and type(ev.get("ratio")) in (int, float)):
+        return "report.json has no numeric evaluate.ratio"
+
+
 def cmd_verify(args):
     mat = mmio.read_matrix(args.input)
     ddir = args.decomposition
-    c = as_array(mmio.read_matrix(os.path.join(ddir, "C.mtx")))
-    u = as_array(mmio.read_matrix(os.path.join(ddir, "U.mtx")))
-    r = as_array(mmio.read_matrix(os.path.join(ddir, "R.mtx")))
+    c, u, r = (as_array(mmio.read_matrix(os.path.join(ddir, name + ".mtx")))
+               for name in "CUR")
     with open(os.path.join(ddir, "indices.json")) as fh:
         idx = json.load(fh)
     with open(os.path.join(ddir, "report.json")) as fh:
         report = json.load(fh)
-    # indices must be JSON lists of integers naming columns and rows of A
-    for name, size in (("col_indices", mat.shape[1]), ("row_indices", mat.shape[0])):
-        ids = idx.get(name) if isinstance(idx, dict) else None
-        if not isinstance(ids, list) or not all(
-                type(i) is int and 0 <= i < size for i in ids):
-            print(json.dumps({"consistent": False, "error": "%s is not a list "
-                              "of integers in [0, %d)" % (name, size)}))
-            return EXIT_NUMERICAL
+    error = _artifact_error(mat, idx, report)
+    if error is not None:
+        print(json.dumps({"consistent": False, "error": error}))
+        return EXIT_NUMERICAL
     dec = cur.CurDecomposition(
         col_indices=np.array(idx["col_indices"], dtype=int),
         col_scales=np.array(idx["col_scales"]),
         row_indices=np.array(idx["row_indices"], dtype=int),
         row_scales=np.array(idx["row_scales"]),
-        C=c, U=u, R=r, k=int(idx["k"]))
+        C=c, U=u, R=r, k=idx["k"])
     rep = cur.evaluate(mat, dec)
     stored = report["evaluate"]
     drift = abs(rep.ratio - stored["ratio"])
@@ -194,8 +208,7 @@ def build_parser():
     d.add_argument("--trials", type=int, default=1)
     d.add_argument("--fidelity", choices=("paper", "heuristic"),
                    default="paper")
-    d.add_argument("--out-dir",
-                   default=os.environ.get("OPTCUR_OUT_DIR", "optcur-out"))
+    d.add_argument("--out-dir", default="optcur-out")
     d.set_defaults(func=cmd_decompose)
 
     v = sub.add_parser("verify", help="recompute the error of a stored decomposition")

@@ -326,12 +326,9 @@ def deterministic_column_stage(a, k, c1):
 
 
 def decompose(a, cfg, rng=None):
-    """Dispatch on cfg.variant."""
-    if cfg.variant == "linear":
-        return cur_linear_time(a, cfg, rng)
-    if cfg.variant == "sparse":
-        return cur_input_sparsity(a, cfg, rng)
-    return cur_deterministic(a, cfg)
+    """The pipeline of cfg.variant; the deterministic leaves never draw
+    from rng."""
+    return _pipeline(a, cfg, rng, cfg.variant)
 
 
 def top_sigma_sq(a, k):

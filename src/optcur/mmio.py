@@ -29,45 +29,6 @@ _SYMMETRIES = ("general", "symmetric")
 _CHUNK = 1 << 16  # lines parsed or values formatted at a time
 
 
-def _walk(path, ln, lines, want, what, parse):
-    """Parse the body lines `lines`, the first being line ln + 1 of the
-    file, one at a time into columns, raising at the first bad line, or past
-    the last when there are fewer than `want`.  Runs only when the
-    vectorised parse of the chunk has failed."""
-    rows = []
-    for off, line in enumerate(lines):
-        try:
-            rows.append(parse(line))
-        except ValueError as exc:
-            raise MatrixMarketError(path, ln + off + 1, str(exc)) from None
-    if len(lines) < want:
-        raise MatrixMarketError(path, ln + len(lines) + 1,
-                                "expected %s, file ended" % what)
-    return list(zip(*rows))
-
-
-def _parse_value(line):
-    try:
-        return (float(line),)
-    except ValueError:
-        raise ValueError("unparseable value %r" % line.strip()) from None
-
-
-def _parse_entry(m, n):
-    def parse(line):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError("entry needs 'row col value'")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError("unparseable entry %r" % line.strip()) from None
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ValueError("index (%d, %d) out of range" % (i, j))
-        return i, j, v
-    return parse
-
-
 def _values(lines):
     """The array lines as doubles, parsed as float() parses them; ValueError
     when any line is unparseable."""
@@ -80,7 +41,7 @@ def _entries(m, n):
         int() and float() parse them; ValueError or OverflowError when any
         line is malformed, unparseable or out of range."""
         if not set(map(len, map(str.split, lines))) <= {3}:
-            raise ValueError("malformed entries")
+            raise ValueError("entry needs 'row col value'")
         tokens = "".join(lines).split()
         i = np.array(tokens[0::3], dtype=np.int64)
         j = np.array(tokens[1::3], dtype=np.int64)
@@ -90,11 +51,24 @@ def _entries(m, n):
     return parse
 
 
-def _read_body(fh, path, ln, count, what, parse, parse_line, dtypes):
+def _first_bad_line(path, ln, lines, want, what, parse):
+    """The error for a chunk that `parse` rejected, its first line being
+    line ln + 1 of the file: at the first line that `parse` rejects on its
+    own, or past the last when there are fewer than `want`."""
+    for off, line in enumerate(lines):
+        try:
+            parse([line])
+        except (ValueError, OverflowError) as exc:
+            return MatrixMarketError(path, ln + off + 1,
+                                     "%r: %s" % (line.strip(), exc))
+    return MatrixMarketError(path, ln + len(lines) + 1,
+                             "expected %s, file ended" % what)
+
+
+def _read_body(fh, path, ln, count, what, parse, dtypes):
     """The `count` body lines of fh after line ln, as one preallocated array
     per dtype, parsed _CHUNK lines at a time, so a read holds the matrix and
-    one chunk of text.  `parse` reads a whole chunk; a chunk it rejects, or
-    one cut short by the end of the file, is walked with `parse_line`."""
+    one chunk of text."""
     out = [np.empty(count, dtype=t) for t in dtypes]
     for s in range(0, count, _CHUNK):
         want = min(_CHUNK, count - s)
@@ -104,8 +78,8 @@ def _read_body(fh, path, ln, count, what, parse, parse_line, dtypes):
                 raise ValueError("file ended")
             cols = parse(lines)
         except (ValueError, OverflowError):
-            cols = _walk(path, ln + s, lines, want,
-                         "%d %s" % (count, what), parse_line)
+            raise _first_bad_line(path, ln + s, lines, want,
+                                  "%d %s" % (count, what), parse) from None
         del lines  # before the next chunk is read
         for o, c in zip(out, cols):
             o[s:s + want] = c
@@ -160,7 +134,6 @@ def _read(fh, path):
     if fmt == "coordinate":
         m, n, nnz = dims
         i, j, v = _read_body(fh, path, ln, nnz, "entries", _entries(m, n),
-                             _parse_entry(m, n),
                              (np.int64, np.int64, np.float64))
         if sym == "symmetric":
             # each off-diagonal entry is followed by its mirror image
@@ -174,8 +147,7 @@ def _read(fh, path):
 
     m, n = dims
     count = m * n if sym == "general" else m * (m + 1) // 2
-    vals, = _read_body(fh, path, ln, count, "values", _values, _parse_value,
-                       (np.float64,))
+    vals, = _read_body(fh, path, ln, count, "values", _values, (np.float64,))
     if sym == "general":
         # column-major per the format spec
         return DenseMatrix(vals.reshape((n, m)).T)

@@ -35,7 +35,6 @@ class SignSketch:
     """Dense s x m matrix with entries +-1/sqrt(s)."""
 
     S: np.ndarray
-    s: int
 
 
 def make_sse(n, xi, rng):
@@ -69,7 +68,7 @@ def make_sign_sketch(s, m, rng, scaled=True):
     signs = (rng.integers(0, 2, size=(s, m)) * 2 - 1).astype(np.float64)
     if scaled:
         signs /= np.sqrt(s)
-    return SignSketch(S=signs, s=int(s))
+    return SignSketch(S=signs)
 
 
 def jlt_rows(n):

@@ -235,6 +235,40 @@ def test_linear_seeded_reproducibility():
     assert np.array_equal(d1.U, d2.U)
 
 
+@pytest.mark.parametrize("lost", [0, 1, 2, 5, None])
+def test_first_stage_redraws_a_leverage_matrix_that_lost_rank(monkeypatch,
+                                                              lost):
+    # the first `lost` leverage draws (every draw when None) repeat one
+    # index, so the k x h leverage matrix has rank 1 < k: each such draw is
+    # redrawn, up to 5 times per phase, and counted in retries_used
+    a = lowrank_noise(60, 50, 3, 0.3, np.random.default_rng(131))
+    cfg = cur.CurConfig(k=2, epsilon=1.0, fidelity="heuristic")
+    real, calls = subset_select.rand_sampling, []
+
+    def repeating(x, r, rng):
+        pair = real(x, r, rng)
+        calls.append(r)
+        if lost is not None and len(calls) > lost:
+            return pair
+        return subset_select.SamplingPair(
+            indices=np.full(r, pair.indices[0]),
+            scales=np.full(r, pair.scales[0]))
+
+    monkeypatch.setattr(subset_select, "rand_sampling", repeating)
+    if lost is None:
+        with pytest.raises(linalg.NumericalError,
+                           match="leverage-sampled factor lost rank "
+                                 "repeatedly"):
+            cur.decompose(a, cfg, np.random.default_rng(0))
+        assert len(calls) == cur._RETRIES + 1
+        return
+    dec = cur.decompose(a, cfg, np.random.default_rng(0))
+    assert dec.diagnostics["retries_used"] == lost
+    assert len(calls) == lost + 2  # the redraws, then one draw per phase
+    assert cur.evaluate(a, dec).ratio <= 1.0 + 20.0 * cfg.epsilon
+    assert reconstructible(a, dec)
+
+
 # ---------------------------------------------------------------------------
 # input-sparsity pipeline
 

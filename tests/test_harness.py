@@ -4,6 +4,7 @@ brute-force column oracles, and the command-line interface."""
 import json
 import os
 import runpy
+import subprocess
 import sys
 
 import numpy as np
@@ -465,6 +466,50 @@ def test_verify_exits_3_when_a_norm_overflows(tmp_path, capsys):
     assert "norm not representable" in capsys.readouterr().err
 
 
+def _drop(key):
+    return lambda d: {name: v for name, v in d.items() if name != key}
+
+
+@pytest.mark.parametrize("file,edit,field", [
+    ("indices.json", _drop("k"), "k"),
+    ("indices.json", _drop("col_scales"), "col_scales"),
+    ("report.json", _drop("evaluate"), "evaluate.ratio"),
+    ("report.json", lambda d: dict(d, evaluate=dict(d["evaluate"],
+                                                    ratio="1.0")),
+     "evaluate.ratio"),
+    ("report.json", lambda d: [d], "evaluate.ratio"),
+    ("indices.json", lambda d: dict(d, k="2"), "k"),
+    ("indices.json", lambda d: dict(d, row_scales="x"), "row_scales"),
+    ("indices.json", lambda d: dict(d, k=0), "k"),
+    ("indices.json", lambda d: dict(d, k=True), "k"),
+    ("indices.json", lambda d: dict(d, col_scales=d["col_scales"][1:]),
+     "col_scales"),
+    ("indices.json", lambda d: dict(d, row_scales=[float("nan")]
+                                    + d["row_scales"][1:]), "row_scales"),
+], ids=["no-k", "no-col_scales", "no-evaluate", "ratio-str", "report-list",
+        "k-str", "row_scales-str", "k-0", "k-true", "col_scales-short",
+        "row_scales-nan"])
+def test_verify_rejects_malformed_artifacts(tmp_path, capsys, file, edit,
+                                            field):
+    # a missing k, col_scales or evaluate, a string ratio and a report
+    # holding a list used to end in a KeyError or TypeError traceback, and
+    # k "2" and row_scales "x" passed as consistent
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 0
+    path = out / file
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", inp, "--decomposition", out]) == 3
+    captured = capsys.readouterr()
+    res = json.loads(captured.out.splitlines()[-1])
+    assert res["consistent"] is False
+    assert field in res["error"]
+    assert captured.err == ""
+
+
 def test_gen_adversarial_cli(tmp_path):
     out = tmp_path / "adv.mtx"
     assert run_cli(["gen-adversarial", "--n", "3", "--k", "1",
@@ -483,6 +528,30 @@ def test_bench_cli(tmp_path):
          "variant": "linear", "fidelity": "heuristic", "trials": 2},
     ]))
     assert run_cli(["bench", "--suite", suite]) == 0
+
+
+def test_bench_reports_a_numerical_failure_and_runs_on(tmp_path, capsys,
+                                                       monkeypatch):
+    # the first entry's decomposition fails: bench prints its input and the
+    # error, still runs the second entry, and exits 3
+    inp = str(write_test_matrix(tmp_path))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([dict(SUITE_ENTRY, input=inp)] * 2))
+    decompose, calls = cur.decompose, []
+
+    def failing_once(a, cfg, rng=None):
+        calls.append(cfg)
+        if len(calls) == 1:
+            raise linalg.NumericalError("no admissible index at step 0")
+        return decompose(a, cfg, rng)
+
+    monkeypatch.setattr(cur, "decompose", failing_once)
+    capsys.readouterr()
+    assert run_cli(["bench", "--suite", suite]) == 3
+    first, second = map(json.loads, capsys.readouterr().out.splitlines())
+    assert first == {"input": inp, "error": "no admissible index at step 0"}
+    assert second["input"] == inp and second["ratio"] >= 1.0 - 1e-12
+    assert len(calls) == 2
 
 
 def test_trials_keep_best_ratio(tmp_path):
@@ -534,6 +603,51 @@ def test_report_names_the_winning_seed(tmp_path):
                         np.random.default_rng(winner))
     assert idx["col_indices"] == dec.col_indices.tolist()
     assert idx["row_indices"] == dec.row_indices.tolist()
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    # `python -m optcur.cli` exits with main()'s code
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    inp, out = write_test_matrix(tmp_path), tmp_path / "out"
+    runs = [(["gen-adversarial", "--n", "3", "--k", "1",
+              "--out", tmp_path / "adv.mtx"], 0),
+            (["decompose", "--input", inp, "--rank", "2", "--epsilon", "1.0",
+              "--fidelity", "heuristic", "--out-dir", out], 0),
+            (["verify", "--input", inp, "--decomposition", out], 0),
+            (["decompose", "--input", inp, "--rank", "2", "--epsilon", "1.0",
+              "--bogus"], 2)]
+    outputs = []
+    for args, code in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "optcur.cli"] + [str(x) for x in args],
+            env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[2])["consistent"] is True
+    assert "unrecognized arguments: --bogus" in proc.stderr
+
+
+@pytest.mark.parametrize("variant", ["linear", "deterministic"])
+def test_dense_variants_read_a_coordinate_file_as_its_array(tmp_path,
+                                                            variant):
+    # a coordinate file is read as a SparseMatrix, which the dense variants
+    # densify: the artifacts are those of the same matrix in an array file
+    dense = write_test_matrix(tmp_path)
+    coord = tmp_path / "coord.mtx"
+    a = np.asarray(mmio.read_matrix(dense))
+    mmio.write_matrix(coord, scipy.sparse.csr_matrix(a))
+    assert isinstance(mmio.read_matrix(coord), linalg.SparseMatrix)
+    outs = []
+    for inp in (dense, coord):
+        out = tmp_path / inp.stem
+        assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                        "--epsilon", "1.0", "--variant", variant,
+                        "--fidelity", "heuristic", "--out-dir", out]) == 0
+        outs.append(out)
+    for name in ("C.mtx", "U.mtx", "R.mtx", "indices.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_lower_bound_sweep_script_runs(monkeypatch, capsys):
