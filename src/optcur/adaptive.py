@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import _col_sq_norms, _matmul, as_array
+from .linalg import _matmul, _operand, _sq_norms, as_array
 from .sketch import jlt_rows, make_sign_sketch
 
 _ZERO_RTOL = 1e-13
@@ -47,7 +47,7 @@ def residual_col_distribution(a, v):
 def _residual_distribution(a, q):
     """`residual_col_distribution` given the orthonormal basis Q of V."""
     proj = _matmul(q.T, a)
-    sq = _col_sq_norms(a) - np.sum(proj * proj, axis=0)
+    sq = _sq_norms(_operand(a).T) - _sq_norms(proj.T)
     return _distribution(sq, a)
 
 
@@ -62,7 +62,7 @@ def sketched_col_distribution(a, v, rng):
     v = as_array(v)
     vpa = _matmul(linalg.pinv(v), a)
     bt = _matmul(s.S, a) - (s.S @ v) @ vpa
-    return _distribution(np.sum(bt * bt, axis=0), a)
+    return _distribution(_sq_norms(bt.T), a)
 
 
 def adaptive_cols(a, v, c2, rng):

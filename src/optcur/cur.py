@@ -6,27 +6,30 @@ candidates to 4k columns, adaptive sampling tops the set up to c columns, a
 rank-k factor inside the selected column span produces Z2, and the row side
 mirrors the procedure against Z2.  The intersection matrix folds all scale
 factors, so the emitted C and R hold raw columns/rows of A.
-`_pipeline` runs it for every variant, with the leaves named in `_SLOTS`.
+`decompose` runs it for every variant, with the leaves of its `_SLOTS` row.
 The input-sparsity variant runs the linear leaves on a CSR operand; it
 sketches only where a sketch shrinks a dimension, the factor and the core.
 """
 
 import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral, Real
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 from . import adaptive, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
 from .linalg import (NumericalError, _check_finite, _cols, _matmul, _operand,
                      as_array, as_sparse)
 
-VARIANTS = ("linear", "sparse", "deterministic")
 _RETRIES = 5  # redraws of a first stage that lost rank, per phase
+
+
+def _is_int(x, low):
+    """Whether x is an integer >= low; a bool is not one."""
+    return not isinstance(x, bool) and isinstance(x, Integral) and x >= low
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,12 @@ class CurConfig:
     r2: int = None
 
     def __post_init__(self):
-        if (isinstance(self.k, bool) or not isinstance(self.k, Integral)
-                or self.k < 1):
+        if not _is_int(self.k, 1):
             raise ValueError("k must be an integer >= 1")
+        if not _is_int(self.seed, 0):
+            raise ValueError("seed must be an integer >= 0")
+        if not all(x is None or _is_int(x, 1) for x in (self.c2, self.r2)):
+            raise ValueError("c2 and r2 must each be None or an integer >= 1")
         if (isinstance(self.epsilon, bool)
                 or not isinstance(self.epsilon, Real)
                 or not 0.0 < self.epsilon <= 1.0):
@@ -54,10 +60,8 @@ class CurConfig:
             raise ValueError("fidelity must be 'paper' or 'heuristic'")
 
     def _adaptive_factor(self):
-        if self.fidelity == "heuristic":
-            return 8.0 * self.k / self.epsilon
-        return {"linear": 1620.0, "sparse": 4820.0,
-                "deterministic": 10.0}[self.variant] * self.k / self.epsilon
+        c2 = 8.0 if self.fidelity == "heuristic" else _SLOTS[self.variant].paper_c2
+        return c2 * self.k / self.epsilon
 
     # the BSS widths and leverage draws follow from k and eps
     @property
@@ -115,19 +119,18 @@ class EvalReport:
     exact: bool
 
     def as_dict(self):
-        return {"err_sq": self.err_sq, "opt_sq": self.opt_sq,
-                "ratio": self.ratio, "c": self.c, "r": self.r,
-                "rank_u": self.rank_u, "exact": self.exact}
+        return asdict(self)
 
 
 def _check_dims(cfg, m, n):
-    if cfg.c_total > n:
-        raise ValueError(
-            "config requires c = %d columns but A has only %d; "
-            "use heuristic fidelity or overrides" % (cfg.c_total, n))
-    if cfg.r_total > m:
-        raise ValueError(
-            "config requires r = %d rows but A has only %d" % (cfg.r_total, m))
+    for x, need, size, what in (("c", cfg.c_total, n, "columns"),
+                                ("r", cfg.r_total, m, "rows")):
+        if need > size:
+            msg = ("config requires %s = 4k + %s2 = %d %s (k = %d) but A has "
+                   "only %d" % (x, x, need, what, cfg.k, size))
+            if cfg.fidelity == "paper":
+                msg += "; use heuristic fidelity or a smaller %s2" % x
+            raise ValueError(msg)
 
 
 def _levered_bss_stage(a, z, az, h, r_bss, rng):
@@ -145,11 +148,10 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng):
     """
     pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
     msmall = pair.pick_rows(z).T  # k x h
-    k = z.shape[1]
-    _, s, vt = scipy.linalg.svd(msmall, full_matrices=False)
-    if linalg._rank(s, msmall.shape) < k:
+    f = linalg.svd(msmall)
+    if f.rank < z.shape[1]:
         return None
-    v_m = vt[:k].T  # right singular vectors of the sampled leverage matrix
+    v_m = f.V_A  # right singular vectors of the sampled leverage matrix
     resid = _cols(a, pair.indices)
     resid *= pair.scales
     for cols in linalg._blocks(resid.shape[1], resid.shape[0]):
@@ -169,12 +171,14 @@ def _exact_bss_cols(a, z, az, r_bss):
     return a[:, sel.indices] * sel.scales, sel.indices, sel.scales
 
 
-# The slots each variant fills in `_pipeline`.  `_side` runs the same `first`
-# and `adapt` leaf on A for the columns and on A^T for the rows.  Leaves are
-# looked up by name when called, so wrappers installed on module attributes
-# (as perfbench's tracer does) see every call.  `sketched` selects the
-# CountSketch subspace solver.
+# A variant is one row: the slots it fills in `decompose`, and `paper_c2`,
+# its adaptive draws per k/eps at paper fidelity.  `_side` runs the same
+# `first` and `adapt` leaf on A for the columns and on A^T for the rows.
+# Leaves are looked up by name when called, so wrappers installed on module
+# attributes (as perfbench's tracer does) see every call.  `sketched`
+# selects the CountSketch subspace solver.
 _LINEAR = SimpleNamespace(
+    paper_c2=1620.0,
     prepare=as_array,
     factor=lambda a, k, rng: randomized_svd(a, k, 1.0, rng),
     first=_levered_bss_stage,
@@ -185,11 +189,12 @@ _SLOTS = {
     # linear's leaves on a CSR operand, with the two sketches that shrink a
     # dimension: the factor's CountSketch and the subspace solver's
     "sparse": SimpleNamespace(**dict(
-        vars(_LINEAR), prepare=as_sparse,
+        vars(_LINEAR), paper_c2=4820.0, prepare=as_sparse,
         factor=lambda a, k, rng: sparse_svd(a, k, 1.0, rng), sketched=True)),
     # the adaptive target is A Z Z^T: A_k on the column side, where Z1 holds
     # the top right singular vectors of A (any k of them when rank(A) <= k)
     "deterministic": SimpleNamespace(
+        paper_c2=10.0,
         prepare=as_array,
         factor=lambda a, k, rng: linalg._top_k(a, k, vectors=True)[1],
         first=lambda a, z, az, h, r, rng: _exact_bss_cols(a, z, az, r),
@@ -197,6 +202,7 @@ _SLOTS = {
         adaptive.adaptive_rows_d(a.T, z, v.T, c2),
         sketched=False),
 }
+VARIANTS = tuple(_SLOTS)
 
 
 def _side(a, z, slots, h, r1, r2, rng, diag):
@@ -244,18 +250,19 @@ def _timed(diag, stage):
     diag["stage_seconds"][stage] = time.perf_counter() - t0
 
 
-def _pipeline(a, cfg, rng, variant):
-    """The CUR pipeline every variant runs, with the slots of `variant`:
+def decompose(a, cfg, rng=None):
+    """The CUR pipeline every variant runs, with the slots of cfg.variant:
     factor Z1, column phase, rank-k core Z2 in span(C), row phase on A^T,
-    intersection U with all scale factors folded in."""
-    slots = _SLOTS[variant]
+    intersection U with all scale factors folded in.  The deterministic
+    leaves never draw from rng."""
+    slots = _SLOTS[cfg.variant]
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     a = slots.prepare(a)
     _check_finite(a)
     _check_dims(cfg, *a.shape)
     k = cfg.k
-    diag = {"variant": variant, "fidelity": cfg.fidelity,
+    diag = {"variant": cfg.variant, "fidelity": cfg.fidelity,
             "retries_used": 0, "stage_seconds": {}, "sketch_caps": []}
 
     with _timed(diag, "approx_svd"):
@@ -303,18 +310,18 @@ def _pipeline(a, cfg, rng, variant):
 def cur_linear_time(a, cfg, rng=None):
     """Randomized linear-time CUR: leverage sampling + dual-set compression +
     adaptive sampling on both sides, exact subspace-restricted rank-k core."""
-    return _pipeline(a, cfg, rng, "linear")
+    return decompose(a, replace(cfg, variant="linear"), rng)
 
 
 def cur_input_sparsity(a, cfg, rng=None):
     """Input-sparsity CUR: the linear pipeline on a CSR operand with a
     CountSketch factor and core; no dense m x n intermediate is formed."""
-    return _pipeline(a, cfg, rng, "sparse")
+    return decompose(a, replace(cfg, variant="sparse"), rng)
 
 
 def cur_deterministic(a, cfg):
     """Deterministic CUR with the always-valid (1 + 8 eps) guarantee."""
-    return _pipeline(a, cfg, None, "deterministic")
+    return decompose(a, replace(cfg, variant="deterministic"))
 
 
 def deterministic_column_stage(a, k, c1):
@@ -323,12 +330,6 @@ def deterministic_column_stage(a, k, c1):
     a = as_array(a)
     z1 = deterministic_svd(a, k)
     return _exact_bss_cols(a, z1, a @ z1, c1)
-
-
-def decompose(a, cfg, rng=None):
-    """The pipeline of cfg.variant; the deterministic leaves never draw
-    from rng."""
-    return _pipeline(a, cfg, rng, cfg.variant)
 
 
 def top_sigma_sq(a, k):
@@ -380,11 +381,9 @@ def _error_sq(a, dec, probe, fro):
     err_sq = fro - 2.0 * cross + norm_pt
     if err_sq > 1e-3 * (fro + norm_pt):
         return err_sq
-    step = max(1, linalg._BLOCK // max(a.shape[1], 1))
     err_sq = 0.0
-    for i in range(0, a.shape[0], step):
-        rows = np.arange(i, min(i + step, a.shape[0]))
-        block = _cols(a.T, rows).T - p[rows] @ t
+    for rows in linalg._blocks(*a.shape):
+        block = _cols(a.T, np.arange(rows.start, rows.stop)).T - p[rows] @ t
         err_sq += float(np.sum(block * block))
     return err_sq
 

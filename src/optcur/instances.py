@@ -32,8 +32,8 @@ class AdversarialInstance:
 
 def gen_adversarial(n, k, alpha=1e-10):
     """Instance where every c-column CUR pays a 1 + k/(2c) error factor."""
-    if n <= 1 or k < 1 or alpha <= 0:
-        raise ValueError("need n > 1, k >= 1, alpha > 0")
+    if n <= 1 or k < 1 or not 0 < alpha < np.inf:
+        raise ValueError("need n > 1, k >= 1, finite alpha > 0")
     d = np.zeros((n + 1, n))
     d[0, :] = 1.0
     d[np.arange(1, n + 1), np.arange(n)] = alpha / np.sqrt(k)

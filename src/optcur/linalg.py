@@ -154,12 +154,19 @@ def _cols(a, idx, order="C"):
     return out
 
 
-def _col_sq_norms(a):
-    """Squared column norms of A."""
+def _sq_norms(a, w=None):
+    """Squared row norms of A, or of A W^T for a CountSketch W given as CSR:
+    over the stored entries of a sparse A (w None), and a block of rows of a
+    dense A at a time (`_blocks`), each row in the order np.sum(x * x,
+    axis=1) sums it over the whole array, in C or F order alike."""
     a = _operand(a)
     if scipy.sparse.issparse(a):
-        return np.asarray(a.multiply(a).sum(axis=0)).ravel()
-    return np.sum(a * a, axis=0)
+        return np.asarray(a.multiply(a).sum(axis=1)).ravel()
+    out = np.empty(a.shape[0])
+    for rows in _blocks(a.shape[0], a.shape[1] if w is None else w.shape[0]):
+        x = a[rows] if w is None else _matmul(w, a[rows].T).T
+        out[rows] = np.sum(x * x, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

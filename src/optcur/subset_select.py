@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg, sketch
-from .linalg import _matmul, as_array
+from .linalg import _sq_norms, as_array
 from .sketch import make_sse
 
 _ORTHO_TOL = 1e-6
@@ -46,7 +46,7 @@ def rand_sampling(x, r, rng):
         raise ValueError("need n > k >= 1")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    p = np.sum(x * x, axis=1)
+    p = _sq_norms(x)
     total = p.sum()
     if total == 0.0:
         raise ValueError("all-zero matrix: sampling distribution undefined")
@@ -67,19 +67,6 @@ def bss_sampling(v, a, r):
     """
     a = as_array(a)
     return _dual_set_greedy(v, _sq_norms(a), r)
-
-
-def _sq_norms(a, w=None):
-    """Squared row norms of the ndarray a, or of a W^T for a CountSketch W
-    given as CSR, a block of rows at a time (`linalg._blocks`).  Each row is
-    summed in the order np.sum(x * x, axis=1) sums it over the whole array,
-    in C or F order alike."""
-    out = np.empty(a.shape[0])
-    for rows in linalg._blocks(a.shape[0],
-                               a.shape[1] if w is None else w.shape[0]):
-        x = a[rows] if w is None else _matmul(w, a[rows].T).T
-        out[rows] = np.sum(x * x, axis=1)
-    return out
 
 
 def _dual_set_greedy(v, anorms, r):

@@ -37,12 +37,13 @@ def _exact_delta(a, y, k):
     return _top_k(at_y, k, vectors=True)[1]
 
 
-def _factor(a, v, k, top_k):
-    """The SubspaceFactor of V, with (Delta, sketched) = top_k(A, Y).
+def _factor(a, v, k, xi=None, rng=None):
+    """The SubspaceFactor of V: Delta from Y^T A, or from Y^T A W^T for a
+    CountSketch W of width xi drawn from rng when xi is given.
 
     Y, rank rho and the solve come from `linalg._basis(V, k)`.  When
     rho < c, the first rho columns of Y span V, further ones (up to k, only
-    when rank(V) < k) are zeroed for top_k, so get zero coefficients, and
+    when rank(V) < k) are zeroed for Delta, so get zero coefficients, and
     M = solve(Delta) over the first rho rows.
     """
     v = as_array(v)
@@ -51,13 +52,19 @@ def _factor(a, v, k, top_k):
         raise ValueError("need 1 <= k < c")
     y, rho, solve = linalg._basis(v, k)
     p = y.shape[1]
-    delta, sketched = top_k(a, y if rho == p else y * (np.arange(p) < rho))
-    return SubspaceFactor(y, delta, solve(delta[:rho]), sketched)
+    y_v = y if rho == p else y * (np.arange(p) < rho)
+    if xi is None:
+        delta = _exact_delta(a, y_v, k)
+    else:
+        w = make_sse(np.shape(a)[1], xi, rng)
+        sketch = apply_sse_compressed(w, _matmul(y_v.T, a).T)
+        delta = _top_k(sketch, k, vectors=True)[1]
+    return SubspaceFactor(y, delta, solve(delta[:rho]), xi is not None)
 
 
 def best_subspace_svd(a, v, k):
     """Exact Pi^F_{V,k}: Y from QR of V, Delta from the rank-k SVD of Y^T A."""
-    return _factor(a, v, k, lambda a, y: (_exact_delta(a, y, k), False))
+    return _factor(a, v, k)
 
 
 def approx_subspace_svd(a, v, k, eps, rng):
@@ -70,17 +77,8 @@ def approx_subspace_svd(a, v, k, eps, rng):
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     c = np.shape(v)[1]
-    n = np.shape(a)[1]
-    xi_dim = int(np.ceil(40.0 * c * c / (eps * eps)))
-
-    def top_k(a, y):
-        if xi_dim >= n:
-            return _exact_delta(a, y, k), False
-        w = make_sse(n, xi_dim, rng)
-        sketch = apply_sse_compressed(w, _matmul(y.T, a).T)
-        return _top_k(sketch, k, vectors=True)[1], True
-
-    return _factor(a, v, k, top_k)
+    xi = int(np.ceil(40.0 * c * c / (eps * eps)))
+    return _factor(a, v, k, xi if xi < np.shape(a)[1] else None, rng)
 
 
 def rank_constrained_u(a, c, r, k):

@@ -106,6 +106,63 @@ def test_dimension_insufficiency_errors(rng):
         cur.cur_linear_time(a, cfg)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", "1"), ("seed", 1.5), ("seed", -1), ("seed", True),
+    ("seed", [1]), ("seed", None), ("c2", 2.5), ("c2", True), ("c2", 0),
+    ("c2", "3"), ("r2", 2.5), ("r2", False), ("r2", -4), ("r2", [2])])
+def test_config_rejects_a_seed_c2_or_r2_that_is_no_integer_in_range(
+        field, value):
+    # seed is an integer >= 0, c2 and r2 None or an integer >= 1; a bool is
+    # none of them
+    with pytest.raises(ValueError, match=field):
+        cur.CurConfig(k=2, epsilon=1.0, variant="deterministic",
+                      **{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = cur.CurConfig(k=np.int64(2), epsilon=1.0, seed=np.uint32(7),
+                        c2=np.int32(3), r2=None)
+    assert (cfg.seed, cfg.c_total, cfg.r_total) == (7, 11, 8 + 1620 * 2)
+
+
+@pytest.mark.parametrize("fidelity,side", [
+    ("paper", "c"), ("paper", "r"), ("heuristic", "c"), ("heuristic", "r")])
+def test_dimension_errors_state_the_size_rule(fidelity, side):
+    # c = 4k + c2 columns and r = 4k + r2 rows; heuristic fidelity is
+    # suggested only where it would lower the constants
+    a = lowrank_noise(30, 25, 3, 0.2, np.random.default_rng(5))
+    a = a if side == "c" else a.T
+    c2, r2 = (20, 1) if side == "c" else (1, 20)
+    cfg = cur.CurConfig(k=2, epsilon=1.0, fidelity=fidelity, c2=c2, r2=r2)
+    with pytest.raises(ValueError) as err:
+        cur.decompose(a, cfg)
+    msg = str(err.value)
+    what = "columns" if side == "c" else "rows"
+    assert ("%s = 4k + %s2 = 28 %s (k = 2) but A has only 25"
+            % (side, side, what)) in msg
+    assert ("heuristic fidelity" in msg) == (fidelity == "paper")
+
+
+def test_named_entry_points_run_their_own_variant():
+    # the default config is linear at paper fidelity (c = 1624 at k = 1,
+    # eps = 1); cur_deterministic runs the deterministic leaves with the
+    # deterministic constant, 4k + 10k/eps = 14 columns and rows
+    a = lowrank_noise(40, 40, 5, 0.4, np.random.default_rng(11))
+    cfg = cur.CurConfig(k=1, epsilon=1.0)
+    dec = cur.cur_deterministic(a, cfg)
+    assert dec.C.shape[1] == dec.R.shape[0] == 14
+    assert dec.diagnostics["variant"] == "deterministic"
+    ref = cur.decompose(a, dataclasses.replace(cfg, variant="deterministic"))
+    for x, y in zip(dataclasses.astuple(dec)[:-1],
+                    dataclasses.astuple(ref)[:-1]):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    # and the linear leaves never run with the deterministic constant
+    det = cur.CurConfig(k=2, epsilon=1.0, variant="deterministic")
+    b = lowrank_noise(200, 150, 4, 0.1, np.random.default_rng(13))
+    with pytest.raises(ValueError, match="c = 4k \\+ c2 = 3248 columns"):
+        cur.cur_linear_time(b, det)
+
+
 # ---------------------------------------------------------------------------
 # deterministic pipeline
 

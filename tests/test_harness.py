@@ -746,6 +746,35 @@ def test_mistyped_suite_entry_exits_2(tmp_path, capsys, key, value,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("seed", ["1", 1.5, -1, True, [1]])
+@pytest.mark.parametrize("after_good", [False, True])
+def test_suite_seed_that_is_no_integer_from_0_exits_2(tmp_path, capsys,
+                                                      seed, after_good):
+    # CurConfig checks the seed, so bench rejects it with the other entry
+    # checks, before any entry runs, and prints no traceback
+    suite = tmp_path / "suite.json"
+    entry = dict(SUITE_ENTRY, input=str(write_test_matrix(tmp_path)))
+    suite.write_text(json.dumps([entry] * after_good
+                                + [dict(entry, seed=seed)]))
+    assert run_cli(["bench", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be an integer >= 0\n"
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_gen_adversarial_rejects_a_non_finite_alpha(tmp_path, capsys, alpha):
+    out = tmp_path / "adv.mtx"
+    # "--alpha=-inf", as argparse reads "-inf" alone as an option
+    assert run_cli(["gen-adversarial", "--n", "3", "--k", "1",
+                    "--alpha=" + alpha, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite alpha > 0" in captured.err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        gen_adversarial(3, 1, float(alpha))
+
+
 def test_public_surface():
     # a public name added or dropped shows here as a reviewed diff
     import optcur
