@@ -172,7 +172,7 @@ def cmd_bench(args):
                                   seed=entry.get("seed", 0),
                                   fidelity=entry.get("fidelity", "heuristic")))
         trials = entry.get("trials", 1)
-        if not isinstance(trials, int) or trials < 1:
+        if not cur._is_int(trials, 1):
             raise ValueError("suite entry %d has trials %r" % (i, trials))
         path = entry["input"]
         if not isinstance(path, str) or not os.path.isfile(path):

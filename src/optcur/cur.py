@@ -278,7 +278,9 @@ def decompose(a, cfg, rng=None):
         cols, col_pos, col_w = _distinct(col_idx, col_scales)
         diag["distinct_cols"] = int(cols.size)
         c_raw = _cols(a, cols, "F")  # LAPACK's layout
-        if slots.sketched:
+        if cols.size <= k:  # span(C~) has rank <= k: Z2 spans all of it
+            sf = subspace._factor(a, c_raw, k)
+        elif slots.sketched:
             sf = subspace.approx_subspace_svd(a, c_raw, k, cfg.epsilon, rng)
             if not sf.sketched:
                 diag["sketch_caps"].append("subspace_svd_exact")
@@ -332,15 +334,8 @@ def deterministic_column_stage(a, k, c1):
     return _exact_bss_cols(a, z1, a @ z1, c1)
 
 
-def top_sigma_sq(a, k):
-    """Sum of the top-k squared singular values (sparse-aware)."""
-    s = linalg._top_k(a, k)
-    return float(np.sum(s * s))
-
-
 def optimal_residual_sq(a, k):
-    """||A - A_k||_F^2 as ||A||^2 minus the top-k sigma^2; a difference
-    within the rounding of that subtraction, max(m, n) eps ||A||^2, is 0."""
+    """||A - A_k||_F^2, measured by `_residual_sq` (see `evaluate`)."""
     return _optimal_residual_sq(a, k, _representable(linalg.frobenius_sq(a)))
 
 
@@ -352,56 +347,68 @@ def _representable(norm_sq):
 
 
 def _optimal_residual_sq(a, k, fro):
-    opt = fro - _representable(top_sigma_sq(a, k))
-    return opt if opt > max(_operand(a).shape) * 2.0 ** -52 * fro else 0.0
+    """||A - (A V) V^T||^2 for the top-k right singular vectors V, whose
+    Gram value is fro minus the top-k sigma^2 of the same call; A V is formed
+    only for the direct sum."""
+    s, v = linalg._top_k(a, k, vectors=True)
+    return _residual_sq(a, lambda: _matmul(a, v), v.T, fro,
+                        float(np.sum(s * s)))
 
 
 def cur_error_sq(a, dec):
     """||A - C U R||_F^2; see `_error_sq`.  NumericalError when ||A||^2 or
     the error overflows, as in `evaluate`."""
     fro = _representable(linalg.frobenius_sq(a))
-    return _representable(_error_sq(a, dec, linalg._range_probe(dec.U), fro))
+    return _error_sq(a, dec, linalg._range_probe(dec.U), fro)
 
 
 def _error_sq(a, dec, probe, fro):
-    """||A - C U R||_F^2 as ||A - P T||^2, P = C Q and T = B R, with U = Q B
-    from `linalg._range_probe(U)` as `probe` (Q = None for the identity), so
-    rank(U) bounds the cost, and fro = ||A||^2.
-
-    The Gram form ||A||^2 - 2<P^T A, T> + ||P T||^2 carries a rounding error
-    of about eps * (||A||^2 + ||P T||^2), so an error below 1e-3 of that
-    scale would keep fewer than 12 correct digits; it is summed directly
-    instead, a block of rows at a time (on dense A in as many flops)."""
-    a = _operand(a)
+    """||A - C U R||_F^2 as ||A - P T||^2, with U = Q B from
+    `linalg._range_probe(U)` as `probe` (Q = None for the identity), P S the
+    QR of C Q and T = S B R, so rank(U) bounds the cost; fro = ||A||^2."""
     q, b = probe
-    p = dec.C if q is None else dec.C @ q
-    t = b @ dec.R
-    cross = float(np.sum(_matmul(p.T, a) * t))
-    norm_pt = float(np.sum((p.T @ p) @ t * t))
-    err_sq = fro - 2.0 * cross + norm_pt
-    if err_sq > 1e-3 * (fro + norm_pt):
-        return err_sq
-    err_sq = 0.0
-    for rows in linalg._blocks(*a.shape):
-        block = _cols(a.T, np.arange(rows.start, rows.stop)).T - p[rows] @ t
-        err_sq += float(np.sum(block * block))
-    return err_sq
+    p, s = np.linalg.qr(dec.C if q is None else dec.C @ q)
+    return _residual_sq(a, p, s @ b @ dec.R, fro)
+
+
+def _residual_sq(a, p, t, fro, pt_sq=None):
+    """||A - P T||_F^2 with fro = ||A||_F^2, for P with orthonormal columns,
+    or for P T the projection of A with pt_sq = ||P T||^2 given and p a
+    callable that forms P.
+
+    The Gram value ||A||^2 - 2<A, P T> + ||P T||^2, fro - 2<P^T A, T> +
+    ||T||^2 or fro - pt_sq, carries a rounding error of about
+    eps (||A||^2 + ||P T||^2), so when it is at most 1e-3 of that scale
+    (fewer than 12 correct digits) the residual is summed directly, a block
+    of rows at a time (on dense A in as many flops).  A result at most
+    1e-16 ||A||^2 reads 0; NumericalError when it is not finite."""
+    a = _operand(a)
+    if pt_sq is None:
+        pt_sq = float(np.sum(t * t))
+        err_sq = fro - 2.0 * float(np.sum(_matmul(p.T, a) * t)) + pt_sq
+    else:
+        err_sq = fro - pt_sq
+    if err_sq <= 1e-3 * (fro + pt_sq):
+        p = p() if callable(p) else p
+        err_sq = 0.0
+        for rows in linalg._blocks(*a.shape):
+            block = _cols(a.T, np.arange(rows.start, rows.stop)).T - p[rows] @ t
+            err_sq += float(np.sum(block * block))
+    return err_sq if _representable(err_sq) > 1e-16 * fro else 0.0
 
 
 def evaluate(a, dec, opt_sq=None):
     """Exact error report for a decomposition; U is probed and ||A||^2
-    summed once, and both are shared by the error and the optimum."""
+    summed once, and both are shared by the error and the optimum, which
+    `_residual_sq` measures alike."""
     fro = _representable(linalg.frobenius_sq(a))
     q, b = linalg._range_probe(dec.U)
-    err_sq = max(_representable(_error_sq(a, dec, (q, b), fro)), 0.0)
+    err_sq = _error_sq(a, dec, (q, b), fro)
     if opt_sq is None:
         opt_sq = _optimal_residual_sq(a, dec.k, fro)
-    exact = err_sq <= 1e-16 * fro
-    if opt_sq > 0.0:
-        ratio = err_sq / opt_sq
-    else:
-        ratio = 0.0 if exact else float("inf")
+    ratio = (err_sq / opt_sq if opt_sq > 0.0
+             else float("inf") if err_sq else 0.0)
     rank_u = linalg._rank(linalg.singular_values(b), b.shape)
     return EvalReport(err_sq=float(err_sq), opt_sq=float(opt_sq),
                       ratio=float(ratio), c=dec.C.shape[1], r=dec.R.shape[0],
-                      rank_u=rank_u, exact=bool(exact))
+                      rank_u=rank_u, exact=err_sq == 0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linalg, subspace
+from . import subspace
 from .linalg import as_array
 
 
@@ -49,15 +49,9 @@ def span_restricted_residual_sq(a, c, k):
     """||A - Pi^F_{C,k}(A)||_F^2: best rank-k approximation within span(C)."""
     a = as_array(a)
     c = as_array(c)
-    fro = np.sum(a * a)
-    if c.shape[1] <= k:
-        # the projection itself has rank <= k; no truncation needed
-        q = linalg.orthonormal_basis(c)
-        proj = q.T @ a
-        return float(fro - np.sum(proj * proj))
-    sf = subspace.best_subspace_svd(a, c, k)
-    core = sf.Delta.T @ (sf.Y.T @ a)
-    return float(fro - np.sum(core * core))
+    sf = subspace._factor(a, c, k)
+    core = sf.Delta.T @ (sf.Y.T @ a) if c.any() else 0.0
+    return float(np.sum(a * a) - np.sum(core * core))
 
 
 def brute_force_best_columns(a, c, k, budget=10 ** 6):

@@ -283,12 +283,10 @@ def _lapack(f, *args, **kw):
     return f(*args, lwork=int(f(*args, lwork=-1, **kw)[-2][0]), **kw)[0]
 
 
-def _basis(v, width=0, x=None):
-    """(Y, rho, solve) for an m x c ndarray V: the first rho = rank(V) of the
-    orthonormal columns of Y span range(V), and solve(X) = V^+ Y[:, :rho] X
-    for X with rho rows.  Y has c columns when rho = c, and otherwise
-    max(rho, width), for width <= min(m, c); given an m x l X, Y^T X comes
-    in its place and Y is not formed.
+def _basis(v, x=None):
+    """(Y, rho, solve) for an m x c ndarray V: the rho = rank(V) orthonormal
+    columns of Y span range(V), and solve(X) = V^+ Y X for X with rho rows;
+    given an m x l X, Y^T X comes in place of Y, and Y is not formed.
 
     One QR V = Q T, Q kept as Householder reflectors (LAPACK orgqr forms Q,
     ormqr applies it).  When m >= c and T's diagonal shows full rank, Y = Q
@@ -306,10 +304,10 @@ def _basis(v, width=0, x=None):
     if m >= c and d.min() > cut:
         u, rho, solve = None, c, lambda x: scipy.linalg.solve_triangular(t, x)
     else:
-        q, b = _range_probe(t, width, cut * cut)
+        q, b = _range_probe(t, cut * cut)
         u, s, wt = _lapack_svd(b, full_matrices=False)
         rho = _rank(s, v.shape)
-        u = (u if q is None else q @ u)[:, :max(rho, width)]
+        u = (u if q is None else q @ u)[:, :rho]
         w = wt[:rho].T / s[:rho]
         solve = lambda x: w @ x
     if x is not None:
@@ -327,15 +325,15 @@ def apply_right_pinv(g, r):
     return solve(x).T
 
 
-def _range_probe(a, rank=0, tol_sq=None):
+def _range_probe(a, tol_sq=None):
     """(Q, B), A = Q B with B = Q^T A, from the first random range probe Q
-    of width max(8, rank), 4 times that, ... up to min(m, n) / 2 with
+    of width 8, 32, ... up to min(m, n) / 2 with
     ||A - Q B||_F^2 <= tol_sq, by default 1e-24 ||A||_F^2
     (Halko-Martinsson-Tropp 4.3); (None, A) when A is small or none fits."""
     a = np.asarray(a)
     m, n = a.shape
     rng = np.random.default_rng(12345)
-    width = max(8, rank)
+    width = 8
     while min(m, n) > 32 and width <= min(m, n) // 2:
         y = a @ rng.standard_normal((n, width))
         q = scipy.linalg.qr(y, mode="economic")[0]

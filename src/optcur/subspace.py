@@ -19,13 +19,14 @@ from .sketch import make_sse, apply_sse_compressed
 
 @dataclass(frozen=True)
 class SubspaceFactor:
-    """(Y, Delta, M): Y orthonormal with range(V) in its span, Delta the
+    """(Y, Delta, M): Y orthonormal with range(Y) = range(V), Delta the
     top-k left singular directions of the (possibly sketched) coefficients
-    Y^T A, and M the minimum-norm map with V M = Y Delta."""
+    Y^T A, and M the minimum-norm map with V M = Y Delta (M = 0 when V = 0,
+    whose Y is one unit vector)."""
 
-    Y: np.ndarray  # m x p, orthonormal columns; p = c when rank(V) = c
-    Delta: np.ndarray  # p x k, orthonormal columns
-    M: np.ndarray  # c x k, pinv(V) Y Delta
+    Y: np.ndarray  # m x p, orthonormal columns; p = max(rank(V), 1)
+    Delta: np.ndarray  # p x min(k, p), orthonormal columns
+    M: np.ndarray  # c x min(k, p), pinv(V) Y Delta
     sketched: bool = False
 
 
@@ -38,32 +39,31 @@ def _exact_delta(a, y, k):
 
 
 def _factor(a, v, k, xi=None, rng=None):
-    """The SubspaceFactor of V: Delta from Y^T A, or from Y^T A W^T for a
-    CountSketch W of width xi drawn from rng when xi is given.
+    """The SubspaceFactor of V: Delta, min(k, rho) directions, from Y^T A, or
+    from Y^T A W^T for a CountSketch W of width xi drawn from rng when xi is
+    given; so Y Delta spans the best rank-k subspace of range(V), or all of
+    it when rho <= k.
 
-    Y, rank rho and the solve come from `linalg._basis(V, k)`.  When
-    rho < c, the first rho columns of Y span V, further ones (up to k, only
-    when rank(V) < k) are zeroed for Delta, so get zero coefficients, and
-    M = solve(Delta) over the first rho rows.
+    Y, rank rho and the solve come from `linalg._basis(V)`, and
+    M = solve(Delta).  V = 0 gets one direction, a unit Y, with M = 0.
     """
     v = as_array(v)
-    c = v.shape[1]
-    if not 1 <= k < c:
-        raise ValueError("need 1 <= k < c")
-    y, rho, solve = linalg._basis(v, k)
-    p = y.shape[1]
-    y_v = y if rho == p else y * (np.arange(p) < rho)
+    y, rho, solve = linalg._basis(v)
+    y = y if rho else np.eye(v.shape[0], 1)
+    k = min(k, y.shape[1])
     if xi is None:
-        delta = _exact_delta(a, y_v, k)
+        delta = _exact_delta(a, y, k)
     else:
         w = make_sse(np.shape(a)[1], xi, rng)
-        sketch = apply_sse_compressed(w, _matmul(y_v.T, a).T)
+        sketch = apply_sse_compressed(w, _matmul(y.T, a).T)
         delta = _top_k(sketch, k, vectors=True)[1]
     return SubspaceFactor(y, delta, solve(delta[:rho]), xi is not None)
 
 
 def best_subspace_svd(a, v, k):
     """Exact Pi^F_{V,k}: Y from QR of V, Delta from the rank-k SVD of Y^T A."""
+    if not 1 <= k < np.shape(v)[1]:
+        raise ValueError("need 1 <= k < c")
     return _factor(a, v, k)
 
 
@@ -74,9 +74,9 @@ def approx_subspace_svd(a, v, k, eps, rng):
     When the prescribed width does not compress (xi >= n) the exact
     coefficients are used, which satisfies the embedding contract trivially.
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must be in (0, 1]")
     c = np.shape(v)[1]
+    if not (1 <= k < c and 0 < eps <= 1):
+        raise ValueError("need 1 <= k < c and eps in (0, 1]")
     xi = int(np.ceil(40.0 * c * c / (eps * eps)))
     return _factor(a, v, k, xi if xi < np.shape(a)[1] else None, rng)
 

@@ -511,7 +511,7 @@ def test_top_sigma_sq_matches_singular_values(kind, rank, monkeypatch):
 
     monkeypatch.setattr(linalg, "svd", no_vectors)
     for k in (3, 29, 30):
-        top = cur.top_sigma_sq(x, k)
+        top = float(np.sum(linalg._top_k(x, k) ** 2))
         expected = float(np.sum(sigma[:k] ** 2))
         assert top == pytest.approx(expected, rel=1e-12, abs=1e-300)
         assert cur.optimal_residual_sq(x, k) >= 0.0
@@ -811,6 +811,68 @@ def test_cur_error_sq_raises_when_the_norm_overflows():
         with pytest.raises(linalg.NumericalError,
                            match="norm not representable"):
             cur.cur_error_sq(a * 1e160, big)
+
+
+@pytest.mark.parametrize("m,variant", [(100, "linear"), (300, "linear"),
+                                       (1000, "linear"),
+                                       (300, "deterministic"),
+                                       (100, "sparse")])
+def test_optimum_below_the_rounding_of_the_gram_value_is_measured(m, variant):
+    # ||A - A_k||^2 is about 5e-15 of ||A||^2: within the rounding of
+    # ||A||^2 - sum sigma_i^2, which read it as 0 and the ratio as inf
+    rng = np.random.default_rng(1)
+    a = (rng.standard_normal((m, 2)) @ rng.standard_normal((2, m))
+         + 1e-7 * rng.standard_normal((m, m)))
+    cfg = cur.CurConfig(k=2, epsilon=0.5, variant=variant,
+                        fidelity="heuristic")
+    rep = cur.evaluate(a, cur.decompose(a, cfg))
+    assert 1.0 <= rep.ratio <= 1.2
+
+
+def test_error_of_an_ill_conditioned_core_is_not_below_the_optimum():
+    # ||C|| ||U|| ||R|| is about 1.9e6 ||A|| here: a Gram term ||C Q T||^2
+    # taken as <(P^T P) T, T> squared cond(C), and the ratio read 0.99999991
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 27))
+    a[:, [4, 6]] = 0.0
+    cfg = cur.CurConfig(k=2, epsilon=0.25, variant="deterministic",
+                        c2=1, r2=1)
+    dec = cur.decompose(a, cfg)
+    rep = cur.evaluate(a, dec)
+    direct = float(np.sum((a - dec.C @ dec.U @ dec.R) ** 2))
+    assert rep.err_sq == pytest.approx(direct, rel=1e-9)
+    assert rep.ratio >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("variant", cur.VARIANTS)
+def test_rank_one_input_decomposes_at_every_seed(variant):
+    # with c2 = r2 = 1 many seeds draw a single distinct column, which the
+    # subspace step refused ("need 1 <= k < c")
+    r0 = np.random.default_rng(0)
+    a = np.outer(r0.standard_normal(5), r0.standard_normal(5))
+    for seed in range(200):
+        cfg = cur.CurConfig(k=1, epsilon=0.25, variant=variant, seed=seed,
+                            c2=1, r2=1)
+        rep = cur.evaluate(a, cur.decompose(a, cfg))
+        assert rep.exact and rep.rank_u <= 1
+
+
+@pytest.mark.parametrize("case", ["zero", "rank-1-at-2^-300"])
+def test_at_most_k_distinct_columns_decompose(case):
+    if case == "zero":
+        a, variant, seed = np.zeros((5, 5)), "deterministic", 0
+    else:
+        r1 = np.random.default_rng(1)
+        a = np.ldexp(np.outer(r1.standard_normal(5), r1.standard_normal(5)),
+                     -300)
+        variant, seed = "linear", 2
+    cfg = cur.CurConfig(k=1, epsilon=0.25, variant=variant, seed=seed,
+                        c2=1, r2=1)
+    dec = cur.decompose(a, cfg)
+    assert np.unique(dec.col_indices).size == 1
+    rep = cur.evaluate(a, dec)
+    assert rep.exact and rep.rank_u <= 1
+    assert reconstructible(a, dec)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,29 @@ def test_decompose_then_verify(tmp_path):
                     "--decomposition", out]) == 0
 
 
+def test_near_rank_k_report_is_json_that_verify_accepts(tmp_path, capsys):
+    # the optimum is about 7e-15 of ||A||^2; it was read as 0, so
+    # report.json held "ratio": Infinity and verify exited 3
+    rng = np.random.default_rng(1)
+    a = (rng.standard_normal((100, 2)) @ rng.standard_normal((2, 100))
+         + 1e-7 * rng.standard_normal((100, 100)))
+    inp, out = tmp_path / "input.mtx", tmp_path / "out"
+    mmio.write_matrix(inp, a)
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "0.5", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 0
+
+    def no_constant(name):
+        raise ValueError("not JSON: %s" % name)
+
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=no_constant)
+    assert 1.0 <= report["evaluate"]["ratio"] <= 1.2
+    assert run_cli(["verify", "--input", inp,
+                    "--decomposition", out]) == 0
+    capsys.readouterr()
+
+
 def test_deterministic_artifacts_byte_identical(tmp_path):
     inp = write_test_matrix(tmp_path)
     outs = []
@@ -680,6 +703,7 @@ SUITE_ENTRY = {"input": None, "rank": 2, "epsilon": 1.0,
                                   "no-input", "no-rank", "no-epsilon",
                                   "unknown-key", "trials-0-after-good",
                                   "trials-str-after-good",
+                                  "trials-true-after-good",
                                   "missing-input-after-good",
                                   "null-input-after-good", "suite-object",
                                   "number-after-good", "list-after-good"])
@@ -706,6 +730,8 @@ def test_bad_trials_and_suite_entries_exit_2(tmp_path, capsys, case):
         entries = [good, dict(good, trials=0)]
     elif case == "trials-str-after-good":
         entries = [good, dict(good, trials="2")]
+    elif case == "trials-true-after-good":  # a bool is no trial count
+        entries = [good, dict(good, trials=True)]
     elif case == "missing-input-after-good":
         entries = [good, dict(good, input=str(tmp_path / "missing.mtx"))]
     elif case == "null-input-after-good":

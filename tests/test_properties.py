@@ -51,8 +51,8 @@ def test_decompose_keeps_its_invariants_on_every_admitted_input(case):
     try:
         dec = cur.decompose(a, cfg)
         rep = cur.evaluate(a, dec)
-    except (ValueError, linalg.NumericalError):
-        return  # the typed errors; anything else fails the property
+    except linalg.NumericalError:
+        return  # the typed error; anything else fails the property
     x = a.toarray() if scipy.sparse.issparse(a) else a
     # C and R are A's raw columns and rows, bit for bit
     assert np.ascontiguousarray(dec.C).tobytes() == np.ascontiguousarray(
