@@ -88,8 +88,8 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
-def _artifact_error(mat, idx, report):
-    """Why indices.json `idx` and report.json `report` describe no
+def _artifact_error(mat, c, u, r, idx, report):
+    """Why C, U, R, indices.json `idx` and report.json `report` describe no
     decomposition of `mat`, or None; checked before any gather."""
     idx = idx if isinstance(idx, dict) else {}
     for side, size in (("col", mat.shape[1]), ("row", mat.shape[0])):
@@ -101,6 +101,11 @@ def _artifact_error(mat, idx, report):
                 type(x) is int or type(x) is float and np.isfinite(x)
                 for x in scales)):
             return "%s_scales are not %d finite numbers" % (side, len(ids))
+    nc, nr = len(idx["col_indices"]), len(idx["row_indices"])
+    for name, x, shape in (("C", c, (mat.shape[0], nc)), ("U", u, (nc, nr)),
+                           ("R", r, (nr, mat.shape[1]))):
+        if x.shape != shape:
+            return "%s is %dx%d, not %dx%d" % ((name,) + x.shape + shape)
     if not (type(idx.get("k")) is int and idx["k"] >= 1):
         return "k is not an integer >= 1"
     ev = report.get("evaluate") if isinstance(report, dict) else None
@@ -117,7 +122,7 @@ def cmd_verify(args):
         idx = json.load(fh)
     with open(os.path.join(ddir, "report.json")) as fh:
         report = json.load(fh)
-    error = _artifact_error(mat, idx, report)
+    error = _artifact_error(mat, c, u, r, idx, report)
     if error is not None:
         print(json.dumps({"consistent": False, "error": error}))
         return EXIT_NUMERICAL
@@ -132,7 +137,7 @@ def cmd_verify(args):
     drift = abs(rep.ratio - stored["ratio"])
     ok = drift <= 1e-9 * max(1.0, abs(stored["ratio"]))
     # the emitted C/R must be exactly the columns/rows of the input: %.17g
-    # round-trips every value, and a shape mismatch is unequal
+    # round-trips every value
     a = linalg._operand(mat)
     a_cols = linalg._cols(a, dec.col_indices)
     a_rows = linalg._cols(a.T, dec.row_indices).T

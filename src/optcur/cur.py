@@ -143,7 +143,7 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng):
     leverage matrix lost rank.
 
     E Omega D, gathered in C order, is the one m x h buffer of the stage:
-    scaled and reduced by az @ msmall in place, a block of columns at a time.
+    scaled and reduced by az @ msmall in place, a block of rows at a time.
     BSS reads its exact norms; only the r_bss picks are gathered again.
     """
     pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
@@ -154,8 +154,8 @@ def _levered_bss_stage(a, z, az, h, r_bss, rng):
     v_m = f.V_A  # right singular vectors of the sampled leverage matrix
     resid = _cols(a, pair.indices)
     resid *= pair.scales
-    for cols in linalg._blocks(resid.shape[1], resid.shape[0]):
-        resid[:, cols] -= az @ msmall[:, cols]
+    for rows in linalg._blocks(*resid.shape):
+        resid[rows] -= az[rows] @ msmall
     sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
     idx = pair.indices[sel.indices]
     scales = pair.scales[sel.indices]

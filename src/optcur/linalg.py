@@ -156,12 +156,16 @@ def _cols(a, idx, order="C"):
 
 def _sq_norms(a, w=None):
     """Squared row norms of A, or of A W^T for a CountSketch W given as CSR:
-    over the stored entries of a sparse A (w None), and a block of rows of a
-    dense A at a time (`_blocks`), each row in the order np.sum(x * x,
-    axis=1) sums it over the whole array, in C or F order alike."""
+    over the stored entries of a sparse A (w None); else each row as
+    np.sum(x * x, axis=1) sums it over the whole array: a contiguous row (C
+    order) pairwise, a block of rows at a time (`_blocks`), a strided one (F
+    order, at least 2 rows) sequentially, in one einsum pass with no
+    temporary.  einsum changes the bits of a 1-row A, which goes by blocks."""
     a = _operand(a)
     if scipy.sparse.issparse(a):
         return np.asarray(a.multiply(a).sum(axis=1)).ravel()
+    if w is None and a.shape[0] > 1 and a.T.flags.c_contiguous:
+        return np.einsum("ij,ij->j", a.T, a.T)
     out = np.empty(a.shape[0])
     for rows in _blocks(a.shape[0], a.shape[1] if w is None else w.shape[0]):
         x = a[rows] if w is None else _matmul(w, a[rows].T).T
@@ -224,8 +228,11 @@ def _top_k(a, k, vectors=False):
     (svds with tol=0) runs from a start vector seeded with 0, so every call
     gives the same bits.  One LAPACK SVD of A formed densely runs instead when
     A is not sparse and has at most _DENSE_TOP_K rows or columns (there it
-    is cheaper), when k >= min(m, n) - 1, and when ARPACK fails.  An all-zero
-    ndarray or sparse A gives zeros and the first k unit vectors.
+    is cheaper), when k >= min(m, n) - 1, and when ARPACK fails; vectors of
+    a tall A (m >= 2n) come from the SVD of its n x n QR triangle, gesdd's
+    own first step there, so the bits are the same and no m x n left factor
+    is formed.  An all-zero ndarray or sparse A gives zeros and the first k
+    unit vectors.
     """
     op = isinstance(a, scipy.sparse.linalg.LinearOperator)
     if not op:
@@ -247,6 +254,8 @@ def _top_k(a, k, vectors=False):
     a = a.matmat(np.eye(a.shape[1])) if op else as_array(a)
     if not vectors:
         return _lapack_svd(a, compute_uv=False)[:k]
+    if a.shape[0] >= 2 * a.shape[1]:
+        a = scipy.linalg.qr(a, mode="r")[0][:a.shape[1]]
     _, s, vt = _lapack_svd(a, full_matrices=False)
     return s[:k], vt[:k].T.copy()
 

@@ -489,6 +489,28 @@ def test_verify_exits_3_when_a_norm_overflows(tmp_path, capsys):
     assert "norm not representable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,cut", [
+    ("C", np.s_[:, 1:]), ("U", np.s_[1:]), ("U", np.s_[:, 1:]),
+    ("R", np.s_[1:])], ids=["C-column", "U-row", "U-column", "R-row"])
+def test_verify_rejects_artifacts_of_the_wrong_shape(tmp_path, capsys, name,
+                                                     cut):
+    # a U one row or column short ended in numpy's matmul error and exit 2
+    inp = write_test_matrix(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 0
+    path = out / (name + ".mtx")
+    mmio.write_matrix(path, np.asarray(mmio.read_matrix(path))[cut])
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", inp, "--decomposition", out]) == 3
+    captured = capsys.readouterr()
+    res = json.loads(captured.out.splitlines()[-1])
+    assert res["consistent"] is False
+    assert res["error"].startswith(name + " is ")
+    assert captured.err == ""
+
+
 def _drop(key):
     return lambda d: {name: v for name, v in d.items() if name != key}
 

@@ -6,6 +6,8 @@ against, so these tests compare against independent computations (entrywise
 sums, multiply-back reconstruction) rather than against each other.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -266,6 +268,42 @@ def test_norms_sparse_agree_with_dense(rng):
         spectral_norm(dense), rel=1e-9)
 
 
+def blocked_sq_norms(a):
+    """The blocked loop `_sq_norms` ran on every dense input: np.sum(x * x,
+    axis=1) over a block of rows at a time."""
+    out = np.empty(a.shape[0])
+    for rows in linalg._blocks(*a.shape):
+        x = a[rows]
+        out[rows] = np.sum(x * x, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(369, 5000), (5000, 369), (2, 7), (50, 1),
+                                   (1, 50), (3, 2)])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_sq_norms_keep_the_bits_of_the_blocked_loop(shape, order):
+    # an F-order input is summed in one einsum pass, which must add each
+    # strided row in the blocked loop's sequential order
+    a = np.asarray(np.random.default_rng(71).standard_normal(shape),
+                   order=order)
+    assert np.array_equal(linalg._sq_norms(a), blocked_sq_norms(a))
+
+
+def test_sq_norms_of_an_f_order_input_build_no_temporary():
+    a = np.asfortranarray(np.random.default_rng(73).standard_normal(
+        (369, 5000)))
+    linalg._sq_norms(a)  # warm caches before tracing
+    tracemalloc.start()
+    try:
+        linalg._sq_norms(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output is 369 values; the blocked loop's x * x of 13 rows took
+    # 520 KB, and its peak was 856 KB
+    assert peak < 2 ** 16
+
+
 # ---------------------------------------------------------------------------
 # helpers used by the pipelines
 
@@ -451,6 +489,27 @@ def test_top_k_arpack_matches_lapack(kind):
     assert np.allclose(v @ v.T, vt_ref[:4].T @ vt_ref[:4], atol=1e-10)
     op = scipy.sparse.linalg.aslinearoperator(x)
     assert np.allclose(linalg._top_k(op, 4), s_ref[:4], rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3000, 83), (800, 182), (200, 100)])
+def test_top_k_of_a_tall_input_keeps_the_full_svd_bits(shape, monkeypatch):
+    # vectors of a tall dense input come from the SVD of its QR triangle,
+    # so no m x n left factor is formed
+    x = lowrank_noise(*shape, 5, 0.1, np.random.default_rng(79))
+    _, s_ref, vt_ref = scipy.linalg.svd(x, full_matrices=False)
+    svd_shapes = []
+    lapack_svd = linalg._lapack_svd
+
+    def recording(a, **kw):
+        svd_shapes.append(a.shape)
+        return lapack_svd(a, **kw)
+
+    monkeypatch.setattr(linalg, "_lapack_svd", recording)
+    for k in (1, 5, shape[1] - 2):
+        s, v = linalg._top_k(x, k, vectors=True)
+        assert np.array_equal(s, s_ref[:k])
+        assert np.array_equal(v, vt_ref[:k].T)
+    assert svd_shapes == [(shape[1], shape[1])] * 3
 
 
 @pytest.mark.parametrize("kind", ["dense", "csr"])
