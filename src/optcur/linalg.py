@@ -20,6 +20,7 @@ from . import audit
 RANK_RTOL = 2.0 ** -45
 # Values per block where a temporary is built a block at a time.
 _BLOCK = 1 << 16
+_QR_BLOCK = 64  # columns per block of `qr`'s compact-WY factors
 
 
 def _blocks(n, width):
@@ -287,9 +288,13 @@ def orthonormal_basis(a):
     return svd(a).U_A
 
 
-def _lapack(f, *args, **kw):
-    """The first output of LAPACK routine f, with the workspace it asks for."""
-    return f(*args, lwork=int(f(*args, lwork=-1, **kw)[-2][0]), **kw)[0]
+def qr(v):
+    """(H, T, R), V = Q R for an m x c ndarray, by LAPACK geqrt: H holds Q's
+    min(m, c) reflectors, T their compact-WY block factors (gemqrt applies
+    Q), R the triangle.  BLAS3 where geqrf is unblocked, below 128 columns."""
+    k = min(v.shape)
+    h, t, _ = scipy.linalg.lapack.dgeqrt(min(k, _QR_BLOCK), v)
+    return h[:, :k], t, np.triu(h[:k])
 
 
 def _basis(v, x=None):
@@ -297,35 +302,35 @@ def _basis(v, x=None):
     columns of Y span range(V), and solve(X) = V^+ Y X for X with rho rows;
     given an m x l X, Y^T X comes in place of Y, and Y is not formed.
 
-    One QR V = Q T, Q kept as Householder reflectors (LAPACK orgqr forms Q,
-    ormqr applies it).  When m >= c and T's diagonal shows full rank, Y = Q
-    and solve is one triangular solve.  Otherwise the SVD U S W^T of T, or of
-    B in a range probe T = Q_w B when one fits (U = Q_w U_B), gives Y = Q U
-    and solve(X) = W S^-1 X over the first rho.  Every test cuts at
+    One QR V = Q R (`qr`), Q applied by gemqrt and never formed.  When m >= c
+    and R's diagonal shows full rank, Y = Q [I; 0] and solve is one
+    triangular solve.  Otherwise the SVD U S W^T of R, or of B in a range
+    probe R = Q_w B when one fits (U = Q_w U_B), gives Y = Q [U; 0] and
+    solve(X) = W S^-1 X over the first rho.  Every test cuts at
     max(m, c) * RANK_RTOL times the largest diagonal entry or singular value;
-    the first is at most sigma_1(T), so a probe drops nothing the SVD keeps.
+    the first is at most sigma_1(R), so a probe drops nothing the SVD keeps.
     """
     m, c = v.shape
-    (h, tau), t = scipy.linalg.qr(v, mode="raw")
-    h, ormqr = h[:, :tau.size], scipy.linalg.lapack.dormqr
-    d = np.abs(np.diag(t))
+    h, t, r = qr(v)
+    k, gemqrt = h.shape[1], scipy.linalg.lapack.dgemqrt
+    d = np.abs(np.diag(r))
     cut = max(m, c) * RANK_RTOL * d.max()
     if m >= c and d.min() > cut:
-        u, rho, solve = None, c, lambda x: scipy.linalg.solve_triangular(t, x)
+        u, rho, solve = None, c, lambda x: scipy.linalg.solve_triangular(r, x)
     else:
-        q, b = _range_probe(t, cut * cut)
+        q, b = _range_probe(r, cut * cut)
         u, s, wt = _lapack_svd(b, full_matrices=False)
         rho = _rank(s, v.shape)
         u = (u if q is None else q @ u)[:, :rho]
         w = wt[:rho].T / s[:rho]
         solve = lambda x: w @ x
     if x is not None:
-        x = _lapack(ormqr, "L", "T", h, tau, x)[:tau.size]
+        x = gemqrt(h, t, x, trans="T")[0][:k]
         return x if u is None else u.T @ x, rho, solve
-    if u is None:
-        return _lapack(scipy.linalg.lapack.dorgqr, h, tau, overwrite_a=1), rho, solve
-    u = np.vstack([u, np.zeros((m - tau.size, u.shape[1]))])
-    return _lapack(ormqr, "L", "N", h, tau, u), rho, solve
+    y = np.eye(m, rho, order="F")  # rho <= k, so [I; 0]
+    if u is not None:
+        y[:k] = u
+    return gemqrt(h, t, y, overwrite_c=1)[0], rho, solve
 
 
 def apply_right_pinv(g, r):

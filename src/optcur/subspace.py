@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse.linalg import aslinearoperator
 
 from . import linalg
-from .linalg import _matmul, _operand, _top_k, as_array
+from .linalg import _DENSE_TOP_K, _matmul, _operand, _top_k, as_array, qr
 from .sketch import make_sse, apply_sse_compressed
 
 
@@ -31,9 +31,9 @@ class SubspaceFactor:
 
 
 def _exact_delta(a, y, k):
-    """Delta = the top-k right singular vectors of A^T Y; past _DENSE_TOP_K
-    columns of Y from an operator, so that Y^T A is never formed."""
-    at_y = _matmul(y.T, a).T if y.shape[1] <= linalg._DENSE_TOP_K else (
+    """Delta = the top-k right singular vectors of A^T Y, from its QR triangle;
+    past _DENSE_TOP_K columns of Y from an operator, never forming Y^T A."""
+    at_y = qr(_matmul(y.T, a).T)[2] if y.shape[1] <= _DENSE_TOP_K else (
         aslinearoperator(_operand(a)).T @ aslinearoperator(y))
     return _top_k(at_y, k, vectors=True)[1]
 

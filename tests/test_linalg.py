@@ -322,8 +322,8 @@ def test_apply_right_pinv_matches_direct(rng):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("shape", ["tall", "wide", "duplicate_rows"])
 def test_apply_right_pinv_applies_the_reflectors(shape, order, monkeypatch):
-    # the QR of R^T keeps its Householder reflectors (mode="raw"), and Q^T
-    # reaches the rows of G through them, so no Q is formed
+    # the one QR of R^T keeps its Householder reflectors (linalg.qr), and
+    # Q^T reaches the rows of G through them (gemqrt), so no Q is formed
     rng = np.random.default_rng(83)
     r = rng.standard_normal({"tall": (30, 20), "wide": (6, 20),
                              "duplicate_rows": (6, 20)}[shape])
@@ -331,17 +331,22 @@ def test_apply_right_pinv_applies_the_reflectors(shape, order, monkeypatch):
         r = np.vstack([r, r[[4, 1, 4]]])
     r = np.asarray(r, order=order)
     g = np.asarray(rng.standard_normal((3, 20)), order=order)
-    modes = []
-    real = scipy.linalg.qr
+    calls = []
+    real_qr, real_gemqrt = linalg.qr, scipy.linalg.lapack.dgemqrt
 
-    def recording(x, *args, **kwargs):
-        modes.append(kwargs.get("mode"))
-        return real(x, *args, **kwargs)
+    def recording_qr(x):
+        calls.append(("qr", x.shape))
+        return real_qr(x)
 
-    monkeypatch.setattr(scipy.linalg, "qr", recording)
+    def recording_gemqrt(h, t, c, **kwargs):
+        calls.append((kwargs.get("trans", "N"), c.shape))
+        return real_gemqrt(h, t, c, **kwargs)
+
+    monkeypatch.setattr(linalg, "qr", recording_qr)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgemqrt", recording_gemqrt)
     got = linalg.apply_right_pinv(g, r)
     monkeypatch.undo()
-    assert modes == ["raw"]
+    assert calls == [("qr", r.T.shape), ("T", g.T.shape)]
     direct = g @ np.linalg.pinv(r)
     assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -429,6 +434,7 @@ def test_basis_spans_v_and_solves_min_norm(case, monkeypatch):
     for name in ("svd", "qr", "lstsq"):
         monkeypatch.setattr(scipy.linalg, name,
                             counting(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(linalg, "qr", counting("qr", linalg.qr))
     y, rho, solve = linalg._basis(v)
     x = v @ rng.standard_normal((v.shape[1], 3))
     got = solve(y[:, :rho].T @ x)
@@ -440,6 +446,42 @@ def test_basis_spans_v_and_solves_min_norm(case, monkeypatch):
     assert np.allclose(y_rho.T @ y_rho, np.eye(rho), atol=1e-12)
     assert np.allclose(y_rho @ (y_rho.T @ v), v, atol=1e-12)
     assert np.allclose(got, np.linalg.pinv(v) @ x, atol=1e-10)
+
+
+@pytest.mark.parametrize("m, c, duplicates", [
+    (2000, 83, False), (2000, 83, True), (600, 150, False), (600, 150, True),
+    (140, 300, False)])
+def test_basis_either_side_of_the_blocked_crossover(m, c, duplicates):
+    # LAPACK's geqrf and orgqr run unblocked below 128 columns; the compact-WY
+    # QR blocks on both sides, and Y is formed in place in one m x rho buffer
+    rng = np.random.default_rng(97)
+    v = rng.standard_normal((m, c))
+    if duplicates:
+        v = v[:, np.r_[:c - 10, rng.integers(0, c - 10, 10)]]
+    tracemalloc.start()
+    try:
+        y, rho, solve = linalg._basis(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if m >= c and not duplicates:  # a singular triangle's SVD needs more
+        assert peak <= 3 * v.nbytes
+    assert rho == np.linalg.matrix_rank(v) and y.shape == (m, rho)
+    assert np.abs(y.T @ y - np.eye(rho)).max() <= 1e-12
+    assert np.abs(y @ (y.T @ v) - v).max() <= 1e-12 * np.abs(v).max()
+    x = v @ rng.standard_normal((c, 3))
+    got = solve(y.T @ x)
+    assert np.allclose(got, np.linalg.pinv(v) @ x, atol=1e-10)
+    g = rng.standard_normal((3, m))
+    right = linalg.apply_right_pinv(g, v.T)
+    assert np.allclose(right, g @ np.linalg.pinv(v.T), atol=1e-10)
+    # a power-of-two scale keeps Y's bits and scales the solve exactly
+    for j in (-300, 300):
+        y_j, rho_j, solve_j = linalg._basis(np.ldexp(v, j))
+        assert rho_j == rho and y_j.tobytes() == y.tobytes()
+        assert solve_j(y.T @ x).tobytes() == np.ldexp(got, -j).tobytes()
+        right_j = linalg.apply_right_pinv(g, np.ldexp(v.T, j))
+        assert right_j.tobytes() == np.ldexp(right, -j).tobytes()
 
 
 # ---------------------------------------------------------------------------

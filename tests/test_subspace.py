@@ -204,3 +204,21 @@ def test_delta_from_operator_matches_explicit_coefficients(kind):
     u = np.linalg.svd(sf.Y.T @ a)[0][:, :3]
     assert np.allclose(sf.Delta @ sf.Delta.T, u @ u.T, atol=1e-10)
     assert np.allclose(v @ sf.M, sf.Y @ sf.Delta, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+@pytest.mark.parametrize("shape", ["tall", "square", "wide", "zero_v"])
+def test_delta_from_the_triangle_matches_the_coefficients(shape, kind):
+    # A^T Y, held densely, reaches _top_k as its QR triangle, which has the
+    # same right singular vectors
+    rng = np.random.default_rng(103)
+    n, c = {"tall": (60, 10), "square": (20, 20), "wide": (10, 30),
+            "zero_v": (40, 6)}[shape]
+    a = lowrank_noise(80, n, 4, 0.3, rng)
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    v = rng.standard_normal((80, c)) * (shape != "zero_v")
+    sf = best_subspace_svd(x, v, 3)
+    at_y = linalg._matmul(sf.Y.T, x).T
+    ref = linalg._top_k(at_y, sf.Delta.shape[1], vectors=True)[1]
+    assert at_y.shape == (n, 1 if shape == "zero_v" else c)
+    assert np.abs(sf.Delta @ sf.Delta.T - ref @ ref.T).max() <= 1e-12
