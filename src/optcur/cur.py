@@ -286,7 +286,7 @@ def decompose(a, cfg, rng=None):
                 diag["sketch_caps"].append("subspace_svd_exact")
         else:
             sf = subspace.best_subspace_svd(a, c_raw, k)
-        z2 = sf.Y @ sf.Delta  # orthonormal, and C~ M = Z2
+        z2 = sf.Z2  # orthonormal, and C~ M = Z2
 
     with _timed(diag, "rows"):
         row_idx, row_scales = _side(

@@ -50,7 +50,7 @@ def span_restricted_residual_sq(a, c, k):
     a = as_array(a)
     c = as_array(c)
     sf = subspace._factor(a, c, k)
-    core = sf.Delta.T @ (sf.Y.T @ a) if c.any() else 0.0
+    core = sf.Z2.T @ a if c.any() else 0.0
     return float(np.sum(a * a) - np.sum(core * core))
 
 

@@ -297,14 +297,14 @@ def qr(v):
     return h[:, :k], t, np.triu(h[:k])
 
 
-def _basis(v, x=None):
-    """(Y, rho, solve) for an m x c ndarray V: the rho = rank(V) orthonormal
-    columns of Y span range(V), and solve(X) = V^+ Y X for X with rho rows;
-    given an m x l X, Y^T X comes in place of Y, and Y is not formed.
+def _q_basis(v):
+    """(q, rho, solve) for an m x c ndarray V: Y = q() has rho = rank(V)
+    orthonormal columns spanning range(V), q(X) = Y X for X with rho rows,
+    q(X, trans=True) = Y^T X for X with m rows, and solve(X) = V^+ Y X.
 
-    One QR V = Q R (`qr`), Q applied by gemqrt and never formed.  When m >= c
-    and R's diagonal shows full rank, Y = Q [I; 0] and solve is one
-    triangular solve.  Otherwise the SVD U S W^T of R, or of B in a range
+    One QR V = Q R (`qr`); q applies Q by gemqrt, so Y is formed only by q().
+    When m >= c and R's diagonal shows full rank, Y = Q [I; 0] and solve is
+    one triangular solve.  Otherwise the SVD U S W^T of R, or of B in a range
     probe R = Q_w B when one fits (U = Q_w U_B), gives Y = Q [U; 0] and
     solve(X) = W S^-1 X over the first rho.  Every test cuts at
     max(m, c) * RANK_RTOL times the largest diagonal entry or singular value;
@@ -324,19 +324,29 @@ def _basis(v, x=None):
         u = (u if q is None else q @ u)[:, :rho]
         w = wt[:rho].T / s[:rho]
         solve = lambda x: w @ x
-    if x is not None:
-        x = gemqrt(h, t, x, trans="T")[0][:k]
-        return x if u is None else u.T @ x, rho, solve
-    y = np.eye(m, rho, order="F")  # rho <= k, so [I; 0]
-    if u is not None:
-        y[:k] = u
-    return gemqrt(h, t, y, overwrite_c=1)[0], rho, solve
+
+    def apply(x=None, trans=False):
+        if trans:
+            x = gemqrt(h, t, x, trans="T")[0][:k]
+            return x if u is None else u.T @ x
+        y = (np.eye(m, rho, order="F") if x is None  # rho <= k, so [I; 0]
+             else np.zeros((m,) + x.shape[1:], order="F"))
+        if x is not None or u is not None:
+            y[:k] = u if x is None else x if u is None else u @ x
+        return gemqrt(h, t, y, overwrite_c=1)[0]
+    return apply, rho, solve
+
+
+def _basis(v):
+    """(Y, rho, solve) of `_q_basis(V)`, with Y = q() formed."""
+    q, rho, solve = _q_basis(v)
+    return q(), rho, solve
 
 
 def apply_right_pinv(g, r):
-    """G R^+ = solve(Y^T G^T)^T by `_basis(R^T, x=G^T)`, which forms no Q."""
-    x, _, solve = _basis(np.asarray(r).T, x=np.asarray(g).T)
-    return solve(x).T
+    """G R^+ = solve(Y^T G^T)^T by `_q_basis(R^T)`, which forms no Q."""
+    q, _, solve = _q_basis(np.asarray(r).T)
+    return solve(q(np.asarray(g).T, trans=True)).T
 
 
 def _range_probe(a, tol_sq=None):

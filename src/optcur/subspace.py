@@ -7,10 +7,11 @@ a CountSketch compression of the coefficient matrix.  rank_constrained_u
 solves min_{rank(U) <= k} ||A - C U R||_F in closed form.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import aslinearoperator
+from scipy.sparse.linalg import LinearOperator
 
 from . import linalg
 from .linalg import _DENSE_TOP_K, _matmul, _operand, _top_k, as_array, qr
@@ -19,45 +20,51 @@ from .sketch import make_sse, apply_sse_compressed
 
 @dataclass(frozen=True)
 class SubspaceFactor:
-    """(Y, Delta, M): Y orthonormal with range(Y) = range(V), Delta the
-    top-k left singular directions of the (possibly sketched) coefficients
-    Y^T A, and M the minimum-norm map with V M = Y Delta (M = 0 when V = 0,
-    whose Y is one unit vector)."""
+    """(Delta, M, Z2): Delta the top-k left singular directions of the
+    (possibly sketched) coefficients Y^T A, Y orthonormal with range(Y) =
+    range(V); Z2 = Y Delta; M the minimum-norm map with V M = Z2 (M = 0 when
+    V = 0, whose Y is one unit vector).  Y is formed on first read."""
 
-    Y: np.ndarray  # m x p, orthonormal columns; p = max(rank(V), 1)
     Delta: np.ndarray  # p x min(k, p), orthonormal columns
     M: np.ndarray  # c x min(k, p), pinv(V) Y Delta
+    Z2: np.ndarray  # m x min(k, p), orthonormal columns
     sketched: bool = False
+    _y: object = field(default=None, repr=False, compare=False)
 
-
-def _exact_delta(a, y, k):
-    """Delta = the top-k right singular vectors of A^T Y, from its QR triangle;
-    past _DENSE_TOP_K columns of Y from an operator, never forming Y^T A."""
-    at_y = qr(_matmul(y.T, a).T)[2] if y.shape[1] <= _DENSE_TOP_K else (
-        aslinearoperator(_operand(a)).T @ aslinearoperator(y))
-    return _top_k(at_y, k, vectors=True)[1]
+    @cached_property
+    def Y(self):  # m x p, orthonormal columns; p = max(rank(V), 1)
+        return self._y()
 
 
 def _factor(a, v, k, xi=None, rng=None):
     """The SubspaceFactor of V: Delta, min(k, rho) directions, from Y^T A, or
     from Y^T A W^T for a CountSketch W of width xi drawn from rng when xi is
-    given; so Y Delta spans the best rank-k subspace of range(V), or all of
-    it when rho <= k.
+    given; so Z2 spans the best rank-k subspace of range(V), or all of it
+    when rho <= k.
 
-    Y, rank rho and the solve come from `linalg._basis(V)`, and
-    M = solve(Delta).  V = 0 gets one direction, a unit Y, with M = 0.
+    Y's applier q, rank rho and the solve come from `linalg._q_basis(V)`,
+    and M = solve(Delta).  Past _DENSE_TOP_K columns, when exact, ARPACK
+    applies A^T Y and Y^T A a vector at a time through q, Z2 = q(Delta), and
+    Y is never formed; otherwise Y is, and A^T Y is held densely (its QR
+    triangle when exact).  V = 0 gets one direction, a unit Y, with M = 0.
     """
     v = as_array(v)
-    y, rho, solve = linalg._basis(v)
-    y = y if rho else np.eye(v.shape[0], 1)
-    k = min(k, y.shape[1])
-    if xi is None:
-        delta = _exact_delta(a, y, k)
-    else:
-        w = make_sse(np.shape(a)[1], xi, rng)
-        sketch = apply_sse_compressed(w, _matmul(y.T, a).T)
-        delta = _top_k(sketch, k, vectors=True)[1]
-    return SubspaceFactor(y, delta, solve(delta[:rho]), xi is not None)
+    q, rho, solve = linalg._q_basis(v)
+    k = min(k, max(rho, 1))
+    if xi is None and rho > _DENSE_TOP_K:
+        x = _operand(a)
+        fwd, back = lambda z: x.T @ q(z), lambda z: q(x @ z, trans=True)
+        at_y = LinearOperator((x.shape[1], rho), matvec=fwd, rmatvec=back,
+                              matmat=fwd, rmatmat=back, dtype=np.float64)
+        delta = _top_k(at_y, k, vectors=True)[1]
+        return SubspaceFactor(delta, solve(delta), q(delta), False, q)
+    y = q() if rho else np.eye(v.shape[0], 1)
+    at_y = _matmul(y.T, a).T
+    at_y = qr(at_y)[2] if xi is None else apply_sse_compressed(
+        make_sse(np.shape(a)[1], xi, rng), at_y)
+    delta = _top_k(at_y, k, vectors=True)[1]
+    return SubspaceFactor(delta, solve(delta[:rho]), y @ delta,
+                          xi is not None, lambda: y)
 
 
 def best_subspace_svd(a, v, k):

@@ -1,6 +1,8 @@
 """Rank-k approximation within a column subspace, exact and sketched, plus
 the closed-form rank-constrained intersection matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -222,3 +224,40 @@ def test_delta_from_the_triangle_matches_the_coefficients(shape, kind):
     ref = linalg._top_k(at_y, sf.Delta.shape[1], vectors=True)[1]
     assert at_y.shape == (n, 1 if shape == "zero_v" else c)
     assert np.abs(sf.Delta @ sf.Delta.T - ref @ ref.T).max() <= 1e-12
+
+
+def test_operator_path_forms_no_y():
+    # rho = 450 > 400: ARPACK applies Q from the reflectors, so Y is formed
+    # only when read, and then with the bits of _basis
+    rng0 = np.random.default_rng(107)
+    a = lowrank_noise(2000, 600, 5, 0.1, rng0)
+    v = np.asfortranarray(a[:, :450])
+    best_subspace_svd(a, v, 3)  # warm-up: the first call allocates more
+    tracemalloc.start()
+    try:
+        sf = best_subspace_svd(a, v, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "Y" not in sf.__dict__
+    assert peak <= 1.6 * v.nbytes  # H and R; a formed Y would add v.nbytes
+    assert np.array_equal(sf.Y, linalg._basis(v)[0])
+    assert np.abs(sf.Z2 - sf.Y @ sf.Delta).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_operator_path_on_a_rank_deficient_set(kind):
+    # 440 columns, 430 distinct and nonzero: rho = 430 > 400, so ARPACK
+    # applies Q [U_B x; 0] and its transpose, never forming Y
+    rng0 = np.random.default_rng(109)
+    a = lowrank_noise(700, 500, 5, 0.1, rng0)
+    x = scipy.sparse.csr_matrix(a) if kind == "csr" else a
+    v = np.hstack([a[:, :430], a[:, 3:12], np.zeros((700, 1))])
+    v = v[:, rng0.permutation(440)]
+    sf = best_subspace_svd(x, v, 3)
+    assert "Y" not in sf.__dict__ and sf.Y.shape == (700, 430)
+    u = np.linalg.svd(sf.Y.T @ a)[0][:, :3]
+    assert np.abs(sf.Delta @ sf.Delta.T - u @ u.T).max() <= 1e-10
+    assert np.abs(v @ sf.M - sf.Z2).max() <= 1e-10
+    assert np.abs(sf.M - np.linalg.pinv(v) @ sf.Z2).max() <= 1e-10
+    assert np.abs(sf.Z2 - sf.Y @ sf.Delta).max() <= 1e-13
