@@ -22,7 +22,7 @@ import numpy as np
 from . import adaptive, linalg, subset_select, subspace
 from .approx_svd import deterministic_svd, randomized_svd, sparse_svd
 from .linalg import (NumericalError, _check_finite, _cols, _matmul, _operand,
-                     as_array, as_sparse)
+                     _sq_norms, as_array, as_sparse)
 
 _RETRIES = 5  # redraws of a first stage that lost rank, per phase
 
@@ -133,41 +133,41 @@ def _check_dims(cfg, m, n):
             raise ValueError(msg)
 
 
+def _residual_col_sq(a, z, az, idx):
+    """Squared norms of columns idx of A - (A z) z^T, az = A z, from the Gram
+    split ||a_i||^2 - 2 z_i^T (A z)^T a_i + z_i^T (A z)^T (A z) z_i on the
+    columns in A's own format (a view for slice(None)), clipped at 0 against
+    its rounding (about eps ||a_i||^2), as `adaptive._distribution` clips."""
+    cols, zi = _operand(a)[:, idx], z[idx]
+    sq = (_sq_norms(cols.T) - 2.0 * np.sum(_matmul(az.T, cols).T * zi, 1)
+          + np.sum(zi @ (az.T @ az) * zi, 1))
+    return np.clip(sq, 0.0, None)
+
+
 def _levered_bss_stage(a, z, az, h, r_bss, rng):
     """First stage of the randomized variants, over the columns of A.
 
     h leverage draws from the row norms of z (n x k); their rescaled columns
     are compressed by dual-set sparsification against the sampled residual
-    E Omega D, where az = A z, to r_bss weighted picks.  Returns the picked
-    scaled columns, their indices and scales, or None when the sampled
-    leverage matrix lost rank.
-
-    E Omega D, gathered in C order, is the one m x h buffer of the stage:
-    scaled and reduced by az @ msmall in place, a block of rows at a time.
-    BSS reads its exact norms; only the r_bss picks are gathered again.
-    """
+    E Omega D, where az = A z, to r_bss weighted picks, read only through
+    its column norms: `_residual_col_sq` times the squared scales.  Returns
+    the picked scaled columns, their indices and scales, or None when the
+    sampled leverage matrix lost rank."""
     pair = subset_select.rand_sampling(z, min(h, a.shape[1]), rng)
-    msmall = pair.pick_rows(z).T  # k x h
-    f = linalg.svd(msmall)
+    f = linalg.svd(pair.pick_rows(z).T)  # the k x h leverage matrix
     if f.rank < z.shape[1]:
         return None
-    v_m = f.V_A  # right singular vectors of the sampled leverage matrix
-    resid = _cols(a, pair.indices)
-    resid *= pair.scales
-    for rows in linalg._blocks(*resid.shape):
-        resid[rows] -= az[rows] @ msmall
-    sel = subset_select.bss_sampling(v_m, resid.T, r_bss)
-    idx = pair.indices[sel.indices]
-    scales = pair.scales[sel.indices]
+    sq = _residual_col_sq(a, z, az, pair.indices) * pair.scales ** 2
+    sel = subset_select.dual_set_greedy(f.V_A, sq, r_bss)
+    idx, scales = pair.indices[sel.indices], pair.scales[sel.indices]
     return _cols(a, idx) * scales * sel.scales, idx, scales * sel.scales
 
 
 def _exact_bss_cols(a, z, az, r_bss):
-    """First stage of the deterministic variant: dual set = the exact residual
-    columns of A - (A z) z^T, formed in the buffer of (A z) z^T."""
-    resid = az @ z.T
-    np.subtract(a, resid, out=resid)
-    sel = subset_select.bss_sampling(z, resid.T, r_bss)
+    """First stage of the deterministic variant: the dual set is the columns
+    of A - (A z) z^T, read through `_residual_col_sq`, never formed."""
+    sel = subset_select.dual_set_greedy(
+        z, _residual_col_sq(a, z, az, slice(None)), r_bss)
     return a[:, sel.indices] * sel.scales, sel.indices, sel.scales
 
 

@@ -5,9 +5,9 @@ Three selection primitives:
 * rand_sampling -- sampling with replacement from the squared-row-norm
   distribution of a tall-thin matrix (leverage-style scores), with the
   1/sqrt(p_i r) rescaling that makes the sampled Gram an unbiased estimate.
-* bss_sampling -- the deterministic dual-set barrier greedy: picks <= r
-  weighted indices keeping sigma_k of one vector set bounded below while the
-  Frobenius mass of a second set stays bounded above.
+* bss_sampling -- the dual-set barrier greedy `dual_set_greedy`, on the
+  squared row norms of a second set: <= r weighted indices keep sigma_k of
+  one set bounded below and the Frobenius mass of the other bounded above.
 * bss_sampling_sparse -- same greedy run on CountSketch-compressed dual
   vectors; an exported primitive that no pipeline calls.
 """
@@ -59,19 +59,19 @@ def bss_sampling(v, a, r):
     """Deterministic dual-set sparsification.
 
     v: n x k with orthonormal columns (sum of v_i v_i^T = I_k);
-    a: n x l, the second vector set (enters only through row norms);
+    a: n x l, the second set, read by `dual_set_greedy` as squared row norms;
     returns the r greedy steps as the pair (Omega, D) of S, column j of S
     being sqrt(w_j) e_{i_j} (<= r distinct indices), such that
 
         sigma_k(V^T S) >= 1 - sqrt(k/r)   and   ||A^T S||_F^2 <= ||A||_F^2.
     """
     a = as_array(a)
-    return _dual_set_greedy(v, _sq_norms(a), r)
+    return dual_set_greedy(v, _sq_norms(a), r)
 
 
-def _dual_set_greedy(v, anorms, r):
-    """The barrier greedy of `bss_sampling`, given the squared row norms of
-    the second set."""
+def dual_set_greedy(v, anorms, r):
+    """The barrier greedy of `bss_sampling` on `anorms`, the squared row
+    norms of the second set: the rule every first stage of `cur` calls."""
     v = as_array(v)
     n, k = v.shape
     if anorms.shape[0] != n:
@@ -130,4 +130,4 @@ def bss_sampling_sparse(v, a, r, eps, rng):
     n, ell = a.shape
     xi = int(np.ceil(40.0 * n * n / (eps * eps)))
     w = sketch._compressed(make_sse(ell, xi, rng))
-    return _dual_set_greedy(v, _sq_norms(a, w), r)
+    return dual_set_greedy(v, _sq_norms(a, w), r)

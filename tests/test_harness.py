@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from optcur import cli, cur, linalg, mmio
+from optcur import cli, cur, linalg, mmio, subset_select
 from optcur.instances import (gen_adversarial, brute_force_best_columns,
                               span_restricted_residual_sq)
 
@@ -715,6 +715,52 @@ def test_linalg_error_exits_3(tmp_path, monkeypatch):
     assert run_cli(["decompose", "--input", inp, "--rank", "2",
                     "--epsilon", "1.0", "--fidelity", "heuristic",
                     "--out-dir", tmp_path / "out"]) == 3
+
+
+def test_numerical_error_inside_decompose_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    # every leverage draw repeats one index, so each redraw of the first
+    # stage loses rank and decompose raises NumericalError: exit 3, one line
+    # on stderr and no output directory
+    inp = write_test_matrix(tmp_path)
+    real = subset_select.rand_sampling
+
+    def repeating(x, r, rng):
+        pair = real(x, r, rng)
+        return subset_select.SamplingPair(
+            indices=np.full(r, pair.indices[0]),
+            scales=np.full(r, pair.scales[0]))
+
+    monkeypatch.setattr(subset_select, "rand_sampling", repeating)
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "numerical failure: leverage-sampled factor lost rank repeatedly\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_a_nan_entry_exits_2(tmp_path, capsys, fmt):
+    # a NaN parses as a double, so it is the finiteness check on the input
+    # that rejects it: exit 2, one line on stderr and no output directory
+    a = np.random.default_rng(157).standard_normal((40, 35))
+    inp = tmp_path / "nan.mtx"
+    mmio.write_matrix(inp, scipy.sparse.csr_matrix(a) if fmt == "coordinate"
+                      else a)
+    lines = inp.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:-1] + ["nan"])
+    inp.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["decompose", "--input", inp, "--rank", "2",
+                    "--epsilon", "1.0", "--fidelity", "heuristic",
+                    "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "finite" in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 SUITE_ENTRY = {"input": None, "rank": 2, "epsilon": 1.0,
